@@ -131,6 +131,7 @@ fn main() {
 
     match run_wall(&config, &wall) {
         Ok(report) => {
+            let qos = report.metrics.qos.report();
             println!(
                 "service_drive: drained submitted_locals={} submitted_globals={} \
                  terminal_locals={} terminal_globals={} lost={} \
@@ -143,7 +144,7 @@ fn main() {
                 report.lost_tasks(),
                 report.metrics.local.miss_percent(),
                 report.metrics.global.miss_percent(),
-                report.qos.local.total_count + report.qos.global.total_count,
+                qos.local.total_count + qos.global.total_count,
                 report.end_time,
                 report.wall_seconds,
             );

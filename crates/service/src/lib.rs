@@ -9,46 +9,59 @@
 //! precedence bookkeeping, dispatch — against real worker threads on a
 //! real clock.
 //!
-//! # Clock duality
+//! # One process manager, two time sources
 //!
-//! Time is abstracted behind the [`Clock`] trait with two
-//! implementations:
-//!
-//! * [`WallClock`] — wall time, scaled so one wall-clock second covers a
-//!   configurable number of simulated time units. Drives the
-//!   thread-per-worker runtime in [`wall`].
-//! * [`LogicalClock`] — a logical clock advanced by an event heap.
-//!   Drives the single-threaded runtime in [`logical`], which executes
-//!   the *identical* manager logic deterministically. The existing
-//!   simulator ([`sda_system::run_once`]) is thereby the service's test
-//!   double: on any configuration both support, the logical-clock
-//!   service reproduces the simulator's [`RunResult`] bit for bit (see
-//!   the `service_equivalence` integration test).
+//! The service adds no manager logic of its own. Its wall-clock runtime
+//! ([`wall`]) runs the simulator's
+//! [`ProcessManager`](sda_system::ProcessManager) on a manager thread,
+//! with time from a [`WallClock`] — wall time, scaled so one wall-clock
+//! second covers a configurable number of simulated time units — and
+//! thread-per-node workers that dispatch through the same
+//! [`Node::dispatch`](sda_system::Node::dispatch) as the simulator. The
+//! logical-clock mode ([`logical`]) *is* the simulator: on the
+//! configuration space the live runtime supports, [`run_logical`]
+//! validates the configuration and runs [`sda_system::run_once`].
 //!
 //! # Deadline QoS
 //!
-//! The [`QosMonitor`] tracks per-class violation statuses in the style
-//! of DDS deadline contracts: requested-vs-observed deadline checks,
-//! cumulative and incremental violation counts, and a warm-up-resettable
-//! EWMA miss ratio. It is a pure observer — the `ADAPT(base)` control
-//! loop keeps reading [`Metrics::feedback`](sda_system::Metrics), which
-//! both runtimes maintain exactly as the simulator does.
+//! The [`QosMonitor`] (a field of [`Metrics`](sda_system::Metrics))
+//! tracks per-class violation statuses in the style of DDS deadline
+//! contracts: requested-vs-observed deadline checks, cumulative and
+//! incremental violation counts, and a warm-up-resettable EWMA miss
+//! ratio. It is a pure observer — the `ADAPT(base)` control loop keeps
+//! reading [`Metrics::feedback`](sda_system::Metrics). A
+//! [`DeadlineContract`] pair lets a wall run refuse a deadline budget it
+//! cannot offer.
 //!
-//! [`RunResult`]: sda_system::RunResult
+//! [`run_logical`]: logical::run_logical
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod clock;
 pub mod logical;
-mod manager;
-pub mod qos;
 pub mod wall;
 
-pub use clock::{Clock, LogicalClock, WallClock};
-pub use qos::{DeadlineContract, QosMonitor, QosReport, ServiceClass, ViolationStatus};
+pub use clock::WallClock;
+pub use sda_system::{QosMonitor, QosReport, ServiceClass, ViolationStatus};
+pub use wall::DeadlineContract;
 
+use sda_system::{FailureModel, SystemConfig};
 use sda_workload::ConfigError;
+
+/// Rejects the model features the live runtime does not implement: a
+/// non-zero network model and failure injection.
+fn check_supported(config: &SystemConfig) -> Result<(), ServiceError> {
+    if !config.network.is_zero() {
+        return Err(ServiceError::Unsupported(
+            "non-zero network model (the service dispatches over in-process channels)",
+        ));
+    }
+    if !matches!(config.failure, FailureModel::None) {
+        return Err(ServiceError::Unsupported("failure injection"));
+    }
+    Ok(())
+}
 
 /// Why the service refused to run (or aborted a run).
 #[derive(Debug, Clone, PartialEq)]

@@ -8,7 +8,7 @@
 //! ```text
 //! local submitter ──┐                      ┌── worker 0 (owns Node 0)
 //! global submitter ─┼──► process manager ──┼── worker 1 (owns Node 1)
-//!                   │    (ManagerCore)     └── ...
+//!                   │  (ProcessManager)    └── ...
 //! workers ──────────┘   completions/discards
 //! ```
 //!
@@ -28,13 +28,48 @@ use sda_core::{DagRun, FlatRun, NodeId, Submission, TaskId};
 use sda_sched::{Job, JobOrigin};
 use sda_sim::rng::RngFactory;
 use sda_sim::SimTime;
-use sda_system::{FailureModel, Metrics, Node, RunConfig, SystemConfig};
+use sda_system::{
+    DiscardOutcome, Metrics, Node, PooledRun, ProcessManager, RunConfig, SubtaskOutcome,
+    SystemConfig,
+};
 use sda_workload::{GlobalShape, LocalTask, TaskFactory};
 
-use crate::clock::{Clock, WallClock};
-use crate::manager::{dispatch_node, DiscardOutcome, ManagerCore, PooledRun, SubtaskOutcome};
-use crate::qos::{DeadlineContract, QosReport};
+use crate::clock::WallClock;
 use crate::ServiceError;
+
+/// A per-task deadline budget, in simulated time units: the relative
+/// deadline a side of the service promises (offered) or demands
+/// (requested).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeadlineContract {
+    /// The relative deadline budget.
+    pub budget: f64,
+}
+
+impl DeadlineContract {
+    /// A contract with the given budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::BadParameter`] if the budget is not
+    /// finite and positive.
+    pub fn new(budget: f64) -> Result<DeadlineContract, ServiceError> {
+        if !budget.is_finite() || budget <= 0.0 {
+            return Err(ServiceError::BadParameter {
+                what: "contract budget",
+                value: budget,
+            });
+        }
+        Ok(DeadlineContract { budget })
+    }
+
+    /// The DDS deadline-compatibility rule: an offered contract
+    /// satisfies a requested one iff the offered budget is no laxer
+    /// than (i.e. at most) the requested budget.
+    pub fn satisfies(&self, requested: &DeadlineContract) -> bool {
+        self.budget <= requested.budget
+    }
+}
 
 /// Parameters of one wall-clock service run.
 #[derive(Debug, Clone)]
@@ -79,8 +114,6 @@ impl WallRunConfig {
 pub struct WallReport {
     /// Task metrics, observed on the wall clock (post-warm-up).
     pub metrics: Metrics,
-    /// The deadline-QoS monitor's per-class statuses.
-    pub qos: QosReport,
     /// Local tasks the submitters streamed in.
     pub submitted_locals: u64,
     /// Global tasks the submitters streamed in.
@@ -138,17 +171,12 @@ enum ToWorker {
 /// Returns [`ServiceError::Config`] for invalid workloads,
 /// [`ServiceError::Unsupported`] for model features the live runtime
 /// does not implement, [`ServiceError::BadParameter`] for a bad
-/// `time_scale`, and [`ServiceError::IncompatibleContract`] when the
-/// offered deadline contract cannot satisfy the requested one.
+/// `time_scale` or `duration` or for a `warmup` that is not finite, is
+/// negative or does not end before `duration`, and
+/// [`ServiceError::IncompatibleContract`] when the offered deadline
+/// contract cannot satisfy the requested one.
 pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallReport, ServiceError> {
-    if !config.network.is_zero() {
-        return Err(ServiceError::Unsupported(
-            "non-zero network model (the service dispatches over in-process channels)",
-        ));
-    }
-    if !matches!(config.failure, FailureModel::None) {
-        return Err(ServiceError::Unsupported("failure injection"));
-    }
+    crate::check_supported(config)?;
     if let (Some(offered), Some(requested)) = (wall.offered, wall.requested) {
         if !offered.satisfies(&requested) {
             return Err(ServiceError::IncompatibleContract {
@@ -163,6 +191,14 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
             value: wall.duration,
         });
     }
+    // A NaN warm-up would never reset the statistics, and one at or past
+    // the horizon would reset them mid-drain.
+    if !wall.warmup.is_finite() || wall.warmup < 0.0 || wall.warmup >= wall.duration {
+        return Err(ServiceError::BadParameter {
+            what: "warmup",
+            value: wall.warmup,
+        });
+    }
     let clock = Arc::new(WallClock::new(wall.time_scale)?);
 
     // Independent factories per submitter thread: same workload, child
@@ -173,7 +209,6 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
 
     let n = config.workload.nodes;
     let dag_tasks = matches!(config.workload.shape, GlobalShape::Dag { .. });
-    let core = ManagerCore::new(config.strategy, dag_tasks);
 
     let (to_manager, manager_rx) = mpsc::channel::<ToManager>();
     let mut worker_txs = Vec::with_capacity(n);
@@ -213,7 +248,7 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     drop(to_manager);
 
     let mut manager = Manager {
-        core,
+        pm: ProcessManager::new(config),
         worker_txs,
         clock: Arc::clone(&clock),
         warmup: wall.warmup,
@@ -238,8 +273,7 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     }
 
     Ok(WallReport {
-        metrics: manager.core.metrics().clone(),
-        qos: manager.core.qos().report(),
+        metrics: manager.pm.metrics().clone(),
         submitted_locals: manager.submitted_locals.unwrap_or(0),
         submitted_globals: manager.submitted_globals.unwrap_or(0),
         terminal_locals: manager.terminal_locals,
@@ -338,7 +372,7 @@ fn submit_globals(
 
 /// The process-manager thread state.
 struct Manager {
-    core: ManagerCore,
+    pm: ProcessManager,
     worker_txs: Vec<mpsc::Sender<ToWorker>>,
     clock: Arc<WallClock>,
     warmup: f64,
@@ -368,7 +402,7 @@ impl Manager {
 
     fn maybe_end_warmup(&mut self) {
         if !self.warmup_done && self.clock.now() >= self.warmup {
-            self.core.reset_warmup();
+            self.pm.reset_warmup();
             for tx in &self.worker_txs {
                 let _ = tx.send(ToWorker::ResetStats);
             }
@@ -382,7 +416,7 @@ impl Manager {
         self.submitted_locals.is_some()
             && self.submitted_globals.is_some()
             && self.outstanding_jobs == 0
-            && self.core.tasks_in_flight() == 0
+            && self.pm.tasks_in_flight() == 0
     }
 
     fn send_job(&mut self, node: NodeId, job: Job) {
@@ -415,7 +449,7 @@ impl Manager {
     fn handle(&mut self, msg: ToManager) {
         match msg {
             ToManager::Local(task) => {
-                let id = self.core.fresh_local_id();
+                let id = self.pm.fresh_local_id();
                 // The generated arrival instant is the job's enqueue
                 // time, so queueing delay — and the deadline verdict —
                 // are measured against the *requested* arrival; any
@@ -431,15 +465,17 @@ impl Manager {
                 let now = self.clock.now();
                 match job.origin {
                     JobOrigin::Local { .. } => {
-                        self.core.local_done(&job, now);
+                        self.pm.local_done(&job, now);
                         self.terminal_locals += 1;
                     }
                     JobOrigin::Global { task, .. } => {
-                        let mut subs = std::mem::take(&mut self.subs);
-                        let outcome = self.core.subtask_done(&job, now, &mut subs);
-                        self.subs = subs;
-                        match outcome {
-                            SubtaskOutcome::Finished { .. } => self.terminal_globals += 1,
+                        match self.pm.subtask_done(&job, now, &mut self.subs) {
+                            SubtaskOutcome::Finished => {
+                                // In-process channels: the result reaches
+                                // the manager as soon as the subtask ends.
+                                self.pm.finish(task, now);
+                                self.terminal_globals += 1;
+                            }
                             SubtaskOutcome::Progressed => self.dispatch_wave(task, now),
                             SubtaskOutcome::Swallowed => {}
                         }
@@ -449,7 +485,7 @@ impl Manager {
             ToManager::Discarded { job } => {
                 self.outstanding_jobs -= 1;
                 let now = self.clock.now();
-                match self.core.job_discarded(now, &job) {
+                match self.pm.job_discarded(&job, now) {
                     DiscardOutcome::Local => self.terminal_locals += 1,
                     DiscardOutcome::GlobalAborted => self.terminal_globals += 1,
                     DiscardOutcome::GlobalAlreadyDead => {}
@@ -471,9 +507,7 @@ impl Manager {
         // assignment math matches the paper exactly; runtime latency
         // shows up on the observed side of the contract instead.
         let at = run.arrival();
-        let mut subs = std::mem::take(&mut self.subs);
-        let id = self.core.admit_global(at, |slot| *slot = run, &mut subs);
-        self.subs = subs;
+        let id = self.pm.admit(at, |slot| *slot = run, &mut self.subs);
         self.dispatch_wave(id, at);
     }
 }
@@ -550,19 +584,59 @@ impl Worker {
     /// One dispatch round: discards are reported in order, then the
     /// started job's completion is booked.
     fn dispatch(&mut self, now: f64, discards: &mut Vec<Job>) {
-        let started = dispatch_node(
-            &mut self.node,
-            self.preemptive,
-            self.overload,
-            now,
-            discards,
-        );
+        let started =
+            self.node
+                .dispatch(SimTime::new(now), self.preemptive, self.overload, discards);
         for job in discards.drain(..) {
             let _ = self.manager.send(ToManager::Discarded { job });
         }
         if let Some(job) = started {
             let epoch = self.node.service_epoch();
             self.pending = Some((epoch, now + job.service));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sda_core::SdaStrategy;
+
+    #[test]
+    fn contract_compatibility_is_offered_at_most_requested() {
+        let tight = DeadlineContract::new(5.0).unwrap();
+        let loose = DeadlineContract::new(10.0).unwrap();
+        assert!(tight.satisfies(&loose));
+        assert!(tight.satisfies(&tight));
+        assert!(!loose.satisfies(&tight));
+    }
+
+    #[test]
+    fn contract_rejects_degenerate_budgets() {
+        assert!(DeadlineContract::new(0.0).is_err());
+        assert!(DeadlineContract::new(-1.0).is_err());
+        assert!(DeadlineContract::new(f64::NAN).is_err());
+        assert!(DeadlineContract::new(f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_warmup() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let run = RunConfig {
+            warmup: 0.0,
+            duration: 50.0,
+            seed: 1,
+            order_fuzz: 0,
+        };
+        for warmup in [f64::NAN, f64::INFINITY, -1.0, 50.0, 80.0] {
+            let wall = WallRunConfig {
+                warmup,
+                ..WallRunConfig::new(&run, 1_000.0)
+            };
+            match run_wall(&cfg, &wall) {
+                Err(ServiceError::BadParameter { what, .. }) => assert_eq!(what, "warmup"),
+                other => panic!("warmup {warmup} must be rejected, got {other:?}"),
+            }
         }
     }
 }

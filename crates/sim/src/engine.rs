@@ -423,6 +423,40 @@ mod tests {
     }
 
     #[test]
+    fn invalid_delays_panic_with_the_exact_message() {
+        // Drive the scheduler from inside a handler, as models do, and
+        // pin the whole message for each kind of bad delay.
+        struct Probe {
+            bad: f64,
+        }
+        impl Simulation for Probe {
+            type Event = ();
+            fn handle(&mut self, ctx: &mut Context<()>, _event: ()) {
+                ctx.schedule_in(self.bad, ());
+            }
+        }
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut e = Engine::new(Probe { bad });
+                e.context_mut().schedule_at(SimTime::ZERO, ());
+                e.run_until(SimTime::from(1.0));
+            }))
+            .expect_err("schedule_in must panic");
+            let msg = match caught.downcast::<String>() {
+                Ok(s) => *s,
+                Err(other) => (*other
+                    .downcast::<&'static str>()
+                    .expect("panic payload is a string"))
+                .to_owned(),
+            };
+            assert_eq!(
+                msg,
+                format!("delay must be finite and non-negative, got {bad}")
+            );
+        }
+    }
+
+    #[test]
     fn fast_path_drives_the_loop_like_the_slow_path() {
         #[derive(Debug, Default)]
         struct FastTicker {

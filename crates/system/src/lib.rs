@@ -7,10 +7,11 @@
 //!   independent and never coordinate. Homogeneous by default;
 //!   `WorkloadConfig::node_speeds` gives each node a speed factor
 //!   (service time `ex / speed`) for heterogeneous-hardware studies;
-//! * a **process manager** that receives global tasks, assigns virtual
-//!   deadlines via an [`SdaStrategy`](sda_core::SdaStrategy), submits
-//!   simple subtasks to their nodes and enforces precedence
-//!   (via [`TaskRun`](sda_core::TaskRun));
+//! * a **process manager** ([`ProcessManager`]) that receives global
+//!   tasks, assigns virtual deadlines via an
+//!   [`SdaStrategy`](sda_core::SdaStrategy), submits simple subtasks to
+//!   their nodes and enforces precedence — one implementation driven by
+//!   the serial engine, the sharded engine and the live service;
 //! * a **network model** ([`NetworkModel`], default
 //!   [`Zero`](NetworkModel::Zero) = the paper's free communication):
 //!   under a non-zero model every subtask hand-off — initial fan-out,
@@ -33,7 +34,8 @@
 //! * **metrics**: per-class missed-deadline ratios (the paper's primary
 //!   measure), response times, tardiness, subtask-level virtual-deadline
 //!   misses, hand-off transit times and node utilizations, with warm-up
-//!   deletion.
+//!   deletion, plus per-class deadline-QoS violation statuses
+//!   ([`QosMonitor`]).
 //!
 //! The model runs on the deterministic [`sda_sim`] engine;
 //! [`run_replications`] executes independent replications and reports
@@ -63,18 +65,22 @@
 mod batch;
 mod config;
 mod failure;
+mod manager;
 mod metrics;
 mod model;
 mod node;
+mod qos;
 mod runner;
 mod shard;
 
 pub use batch::{run_batch_means, BatchedResult};
 pub use config::{NetworkModel, OverloadPolicy, SystemConfig};
 pub use failure::{DownInterval, FailureModel};
+pub use manager::{DiscardOutcome, PooledRun, ProcessManager, SubtaskOutcome};
 pub use metrics::{ClassMetrics, Feedback, Metrics};
 pub use model::{Event, SystemModel, TraceEvent};
 pub use node::Node;
+pub use qos::{QosMonitor, QosReport, ServiceClass, ViolationStatus};
 pub use runner::{
     run_once, run_once_sharded, run_replications, run_replications_sharded,
     run_replications_sharded_with_capacity, run_replications_with_threads, ReplicatedResult,

@@ -5,6 +5,8 @@ use serde::{Deserialize, Serialize};
 
 use sda_sim::stats::{P2Quantile, Ratio, Tally};
 
+use crate::qos::QosMonitor;
+
 /// Per-class statistics (one for locals, one for globals).
 ///
 /// # Aborted-task semantics
@@ -237,6 +239,10 @@ pub struct Metrics {
     /// [`Metrics::reset`]** because it is control state, not a
     /// statistic.
     pub feedback: Feedback,
+    /// Per-class deadline-QoS violation statuses, observed at every
+    /// terminal local/global outcome and every subtask completion or
+    /// discard. A statistic: restarts at [`Metrics::reset`].
+    pub qos: QosMonitor,
 }
 
 impl Metrics {
@@ -250,8 +256,13 @@ impl Metrics {
     /// adaptive strategy's loop does not jump at the warm-up boundary.
     pub fn reset(&mut self) {
         let feedback = self.feedback;
-        *self = Metrics::default();
-        self.feedback = feedback;
+        let mut qos = self.qos;
+        qos.reset_statistics();
+        *self = Metrics {
+            feedback,
+            qos,
+            ..Metrics::default()
+        };
     }
 }
 

@@ -15,6 +15,8 @@ use sda_sched::{Job, Policy, ReadyQueue};
 use sda_sim::stats::TimeWeighted;
 use sda_sim::SimTime;
 
+use crate::config::OverloadPolicy;
+
 /// The in-service job stays resident in the ready queue's job slab; the
 /// node only tracks which slot it occupies and when it started.
 #[derive(Debug)]
@@ -265,6 +267,33 @@ impl Node {
         }
         self.queue_length.update(now, self.queue.len() as f64);
         None
+    }
+
+    /// One dispatch round at `now`, shared by every engine: in
+    /// preemptive mode the job in service is first preempted if the
+    /// queue head outranks it; then, if the server is idle, the next job
+    /// starts subject to the overload policy. Jobs the firm-deadline
+    /// policy discards are written to `discards` (cleared first); the
+    /// caller accounts them, in order, before booking the returned job's
+    /// completion (stamped with the new [`Node::service_epoch`]).
+    pub fn dispatch(
+        &mut self,
+        now: SimTime,
+        preemptive: bool,
+        overload: OverloadPolicy,
+        discards: &mut Vec<Job>,
+    ) -> Option<Job> {
+        if preemptive && self.should_preempt() {
+            self.preempt_requeue(now);
+        }
+        discards.clear();
+        match overload {
+            OverloadPolicy::NoAbort => self.try_start(now),
+            OverloadPolicy::AbortTardy => {
+                let t = now.as_f64();
+                self.try_start_with_admission(now, |j| !j.is_tardy(t), discards)
+            }
+        }
     }
 
     /// Marks the in-service job finished at `now`, vacating its slab slot

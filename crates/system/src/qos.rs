@@ -2,13 +2,18 @@
 //! requested-vs-observed deadline checks, per-class violation statuses,
 //! and a warm-up-resettable EWMA miss ratio.
 //!
-//! The monitor is a pure *observer*: it never feeds back into deadline
-//! assignment. The `ADAPT(base)` control loop keeps reading
-//! [`Feedback`] — which, being control state,
-//! survives warm-up resets — while the monitor's EWMA is a *statistic*
-//! and restarts at warm-up like every other measurement.
+//! The monitor is a field of [`Metrics`](crate::Metrics), fed by the
+//! [`ProcessManager`](crate::ProcessManager) at every site that records
+//! a class's miss, so every engine — serial, sharded and the live
+//! service — reports the same violation statuses. It is a pure
+//! *observer*: it never feeds back into deadline assignment. The
+//! `ADAPT(base)` control loop keeps reading [`Feedback`] — which, being
+//! control state, survives warm-up resets — while the monitor's EWMA is
+//! a *statistic* and restarts at warm-up like every other measurement.
 
-use sda_system::Feedback;
+use serde::{Deserialize, Serialize};
+
+use crate::metrics::Feedback;
 
 /// A task class the monitor keeps a violation status for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,47 +27,13 @@ pub enum ServiceClass {
     SubtaskVirtual,
 }
 
-/// A per-task deadline budget, in simulated time units: the relative
-/// deadline a side of the service promises (offered) or demands
-/// (requested).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeadlineContract {
-    /// The relative deadline budget.
-    pub budget: f64,
-}
-
-impl DeadlineContract {
-    /// A contract with the given budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::BadParameter`](crate::ServiceError) if
-    /// the budget is not finite and positive.
-    pub fn new(budget: f64) -> Result<DeadlineContract, crate::ServiceError> {
-        if !budget.is_finite() || budget <= 0.0 {
-            return Err(crate::ServiceError::BadParameter {
-                what: "contract budget",
-                value: budget,
-            });
-        }
-        Ok(DeadlineContract { budget })
-    }
-
-    /// The DDS deadline-compatibility rule: an offered contract
-    /// satisfies a requested one iff the offered budget is no laxer
-    /// than (i.e. at most) the requested budget.
-    pub fn satisfies(&self, requested: &DeadlineContract) -> bool {
-        self.budget <= requested.budget
-    }
-}
-
 /// The violation status of one class: how often observed completions
 /// broke their requested deadline.
 ///
 /// Mirrors the DDS `DeadlineMissedStatus` shape: a cumulative count, an
 /// incremental count since the last read, and the time of the most
 /// recent violation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ViolationStatus {
     /// Violations observed since the last statistics reset.
     pub total_count: u64,
@@ -75,7 +46,7 @@ pub struct ViolationStatus {
 }
 
 /// Per-class state: the violation status plus the EWMA miss estimate.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct ClassQos {
     status: ViolationStatus,
     ewma: f64,
@@ -124,7 +95,7 @@ pub struct QosReport {
 /// requested (absolute) deadline already compared against the observed
 /// completion time; the monitor folds the boolean into the class's
 /// [`ViolationStatus`] and EWMA.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QosMonitor {
     alpha: f64,
     local: ClassQos,
@@ -240,23 +211,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn contract_compatibility_is_offered_at_most_requested() {
-        let tight = DeadlineContract::new(5.0).unwrap();
-        let loose = DeadlineContract::new(10.0).unwrap();
-        assert!(tight.satisfies(&loose));
-        assert!(tight.satisfies(&tight));
-        assert!(!loose.satisfies(&tight));
-    }
-
-    #[test]
-    fn contract_rejects_degenerate_budgets() {
-        assert!(DeadlineContract::new(0.0).is_err());
-        assert!(DeadlineContract::new(-1.0).is_err());
-        assert!(DeadlineContract::new(f64::NAN).is_err());
-        assert!(DeadlineContract::new(f64::INFINITY).is_err());
-    }
-
-    #[test]
     fn violation_status_transitions_track_counts_and_stamp() {
         let mut q = QosMonitor::new();
         let c = ServiceClass::Local;
@@ -337,7 +291,7 @@ mod tests {
     fn reset_contrast_feedback_ewma_survives_where_qos_ewma_does_not() {
         // The design invariant the warm-up boundary relies on: the
         // ADAPT control signal persists, the QoS statistic restarts.
-        let mut metrics = sda_system::Metrics::new();
+        let mut metrics = crate::Metrics::new();
         let mut qos = QosMonitor::new();
         for _ in 0..10 {
             metrics.feedback.observe(true);

@@ -335,7 +335,7 @@ impl Sequencer {
             self.heap.pop();
             let node = NodeId::new(idx);
             let task = model.factory_mut().make_local(node, t);
-            let id = model.fresh_local_id();
+            let id = model.manager_mut().fresh_local_id();
             let job = Job::local(id, t, task.attrs.ex, task.attrs.deadline);
             calendar.schedule_fast(SimTime::new(t), CalEntry::Arrival { node, job });
             if let Some(gap) = model.factory_mut().next_local_interarrival(node) {
@@ -512,10 +512,9 @@ impl ShardWorker {
         Ok(())
     }
 
-    /// The node-side half of [`SystemModel`]'s dispatch: preemption
-    /// check, admission policy, service start. Discards and completions
-    /// become records; their metrics/precedence half runs manager-side
-    /// at the merge.
+    /// The node-side half of [`SystemModel`]'s dispatch: one
+    /// [`Node::dispatch`] round. Discards and completions become records;
+    /// their metrics/precedence half runs manager-side at the merge.
     fn dispatch(
         &mut self,
         now_t: SimTime,
@@ -523,26 +522,12 @@ impl ShardWorker {
         li: usize,
         records: &Mailbox<Record>,
     ) -> Result<(), RunError> {
-        let now = now_t.as_f64();
-        if self.preemptive && self.nodes[li].should_preempt() {
-            self.nodes[li].preempt_requeue(now_t);
+        let started =
+            self.nodes[li].dispatch(now_t, self.preemptive, self.overload, &mut self.discard_buf);
+        for i in 0..self.discard_buf.len() {
+            let j = self.discard_buf[i];
+            self.push_record(records, bound, now_t.as_f64(), li, RecordKind::Discard, j)?;
         }
-        let started = match self.overload {
-            OverloadPolicy::NoAbort => self.nodes[li].try_start(now_t),
-            OverloadPolicy::AbortTardy => {
-                self.discard_buf.clear();
-                let started = self.nodes[li].try_start_with_admission(
-                    now_t,
-                    |j| !j.is_tardy(now),
-                    &mut self.discard_buf,
-                );
-                for i in 0..self.discard_buf.len() {
-                    let j = self.discard_buf[i];
-                    self.push_record(records, bound, now, li, RecordKind::Discard, j)?;
-                }
-                started
-            }
-        };
         if let Some(job) = started {
             let epoch = self.nodes[li].service_epoch();
             let node = self.nodes[li].id();
@@ -658,11 +643,8 @@ fn merge_window(
                     };
                     model.handle_global_arrival(&mut sink);
                 }
-                Event::ResultReturn { task } => match model.lookup_task(task) {
-                    Some(slot) => model.finish_task(task, slot, et),
-                    None => debug_assert!(false, "result return for unknown task {task}"),
-                },
-                Event::EndWarmup => model.reset_metrics(),
+                Event::ResultReturn { task } => model.finish_task(task, et),
+                Event::EndWarmup => model.manager_mut().reset_warmup(),
                 Event::SubtaskArrive { task, sub } => {
                     // A hand-off `drain_calendar` withheld because its
                     // destination is down at `et`: the loss is processed
@@ -670,7 +652,7 @@ fn merge_window(
                     // aborted by an earlier event of this window — then
                     // the serial engine drops the arrival before looking
                     // at the node, so mirror that order.
-                    if !model.handoff_aborted(task) {
+                    if !model.manager_mut().handoff_aborted(task) {
                         let mut sink = ManagerSink {
                             now: et,
                             calendar,
@@ -725,7 +707,7 @@ fn drain_calendar(
         let (node, job) = match entry.event {
             CalEntry::Arrival { node, job } => (node, job),
             CalEntry::Handoff { task, sub } => {
-                if model.handoff_aborted(task) {
+                if model.manager_mut().handoff_aborted(task) {
                     *dropped += 1;
                     continue;
                 }

@@ -12,13 +12,27 @@
 //! still double once if a random-walk queue depth sets a new high-water
 //! mark after settling; that is still zero per event, amortized.
 //!
-//! This test lives in its own integration-test binary so no concurrently
-//! running test can pollute the allocation counter.
+//! The allocation counter is process-global, and the test harness runs
+//! this binary's tests on parallel threads, so every test holds
+//! [`SERIAL`] for its whole body: no other test can allocate inside a
+//! measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]. The mutex guards no data, so a test that panicked
+/// while holding it leaves nothing inconsistent: recover from poisoning.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct CountingAllocator;
 
@@ -86,6 +100,7 @@ fn measure(preemptive: bool) -> (u64, u64) {
 
 #[test]
 fn steady_state_is_allocation_free_per_event() {
+    let _serial = serial();
     for preemptive in [false, true] {
         let (allocs, events) = measure(preemptive);
         assert!(
@@ -104,6 +119,7 @@ fn steady_state_is_allocation_free_per_event() {
 
 #[test]
 fn dag_workload_steady_state_is_allocation_free_per_event() {
+    let _serial = serial();
     // The DAG-structured task path: every arrival fills a pooled
     // `DagRun` (random layered structure, CSR edge lists, reverse-topo
     // critical-path pass), every completion counts down fan-in
@@ -140,6 +156,7 @@ fn dag_workload_steady_state_is_allocation_free_per_event() {
 
 #[test]
 fn sharded_engine_steady_state_is_allocation_free_per_window() {
+    let _serial = serial();
     // The sharded conservative-parallel engine adds per-window machinery
     // on top of the serial hot path: mailbox drains, record pushes, the
     // manager's merge sort and the sequencer's k-way merge. All of it
@@ -187,6 +204,7 @@ fn sharded_engine_steady_state_is_allocation_free_per_window() {
 
 #[test]
 fn churn_steady_state_is_allocation_free_per_event() {
+    let _serial = serial();
     // The fault-injection surface: exponential crash/repair churn on
     // pipelines over a constant-delay network. Every crash purges a
     // node's queue into a recycled loss buffer, bumps the epoch, and
@@ -218,6 +236,7 @@ fn churn_steady_state_is_allocation_free_per_event() {
 
 #[test]
 fn mmpp_adaptive_steady_state_is_allocation_free_per_event() {
+    let _serial = serial();
     // The time-varying-workload surface: MMPP-modulated arrivals, the
     // feedback EWMA updating on every completion, and ADAPT(EQF-DIV1)
     // re-stamping the slack scale at every stage activation. The MMPP

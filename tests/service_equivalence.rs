@@ -13,7 +13,10 @@ use sda::core::{AdaptiveSlack, SdaStrategy};
 use sda::service::logical::run_logical;
 use sda::service::wall::{run_wall, WallRunConfig};
 use sda::service::{DeadlineContract, ServiceClass, ServiceError};
-use sda::system::{run_once, OverloadPolicy, RunConfig, SystemConfig};
+use sda::system::{
+    run_once, run_once_sharded, FailureModel, Metrics, NetworkModel, OverloadPolicy, RunConfig,
+    SystemConfig,
+};
 
 fn quick(seed: u64) -> RunConfig {
     RunConfig::quick(seed)
@@ -83,6 +86,37 @@ fn qos_monitor_totals_agree_with_simulator_metrics() {
         svc.qos.subtask_virtual.total_count,
         sim.metrics.subtask_virtual_miss.numerator()
     );
+
+    // The simulator keeps the same monitor, in both engines, and also
+    // where the service cannot go: a network and crashing nodes add the
+    // lost-local and abandoned-global miss paths.
+    let assert_totals = |m: &Metrics, engine: &str| {
+        let qos = m.qos.report();
+        assert_eq!(qos.local.total_count, m.local.missed(), "{engine}: local");
+        assert_eq!(
+            qos.global.total_count,
+            m.global.missed(),
+            "{engine}: global"
+        );
+        assert_eq!(
+            qos.subtask_virtual.total_count,
+            m.subtask_virtual_miss.numerator(),
+            "{engine}: subtask"
+        );
+    };
+    let mut cfg = SystemConfig::combined_baseline(SdaStrategy::eqf_ud());
+    cfg.network = NetworkModel::Constant { delay: 0.5 };
+    cfg.failure = FailureModel::Exponential {
+        mttf: 400.0,
+        mttr: 60.0,
+    };
+    let serial = run_once(&cfg, &run).unwrap();
+    assert!(
+        serial.metrics.lost_locals > 0 && serial.metrics.qos.report().global.total_count > 0,
+        "churn must produce misses for the totals to bite"
+    );
+    assert_totals(&serial.metrics, "serial");
+    assert_totals(&run_once_sharded(&cfg, &run, 2).unwrap().metrics, "sharded");
 }
 
 #[test]
