@@ -132,11 +132,15 @@ fn main() {
     match run_wall(&config, &wall) {
         Ok(report) => {
             let qos = report.metrics.qos.report();
+            // Wall seconds from the submission horizon to the drain.
+            let drain_s = (report.end_time - duration) / opts.time_scale;
+            let node_util =
+                report.node_utilization.iter().sum::<f64>() / report.node_utilization.len() as f64;
             println!(
                 "service_drive: drained submitted_locals={} submitted_globals={} \
                  terminal_locals={} terminal_globals={} lost={} \
                  local_miss={:.2}% global_miss={:.2}% qos_violations={} \
-                 sim_time={:.1} wall_seconds={:.2}",
+                 sim_time={:.1} wall_seconds={:.2} drain_s={:.3} node_util={:.3}",
                 report.submitted_locals,
                 report.submitted_globals,
                 report.terminal_locals,
@@ -147,6 +151,8 @@ fn main() {
                 qos.local.total_count + qos.global.total_count,
                 report.end_time,
                 report.wall_seconds,
+                drain_s,
+                node_util,
             );
             if !report.drained_clean() {
                 eprintln!(

@@ -69,8 +69,9 @@ impl WallClock {
         }
     }
 
-    /// The wall-clock duration from now until simulated time `t`
-    /// (zero if `t` is already past).
+    /// The wall-clock duration from now until simulated time `t`: zero
+    /// if `t` is already past, [`Duration::MAX`] if `t` is too far out
+    /// for a `Duration` (including `+∞`).
     ///
     /// # Panics
     ///
@@ -81,7 +82,7 @@ impl WallClock {
         if dt <= 0.0 {
             Duration::ZERO
         } else {
-            Duration::from_secs_f64(dt)
+            Duration::try_from_secs_f64(dt).unwrap_or(Duration::MAX)
         }
     }
 }
@@ -99,6 +100,14 @@ mod tests {
         assert!(after >= before + 20.0, "slept {before} -> {after}");
         c.sleep_until(before); // past target: returns at once
         assert!(c.now() >= after, "the clock never runs backwards");
+    }
+
+    #[test]
+    fn duration_until_saturates_far_targets() {
+        let c = WallClock::new(1000.0).unwrap();
+        assert_eq!(c.duration_until(f64::INFINITY), Duration::MAX);
+        assert_eq!(c.duration_until(1e300), Duration::MAX);
+        assert_eq!(c.duration_until(f64::NEG_INFINITY), Duration::ZERO);
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! drain: submitters close at the horizon, and the manager releases the
 //! workers only once every submitted task has reached a terminal state,
 //! so no completion is lost.
+//!
+//! Workers keep the schedule, not their threads' wake-ups: each node is
+//! the paper's work-conserving server, so a job holds it for exactly its
+//! service time and the next queued job starts at the scheduled
+//! completion instant, however late the thread wakes to notice. The
+//! manager still observes each completion on its own clock, so the
+//! latency the runtime adds in reporting it counts against the observed
+//! side of the deadline contract.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -512,9 +520,16 @@ impl Manager {
     }
 }
 
-/// One worker thread: owns its [`Node`], serves jobs to wall-clock
-/// completion, reports completions and admission discards back to the
-/// manager.
+/// One worker thread: owns its [`Node`], serves jobs on the schedule
+/// (a job started at `s` holds the node until exactly `s + service`),
+/// reports completions and admission discards back to the manager.
+///
+/// Each wake-up reads the clock once, as `now`, then first retires every
+/// completion due by `now` — each job finishes at its own scheduled
+/// instant and the next one starts at that same instant — and only then
+/// enqueues or resets at `now`. One read keeps the node's tallies
+/// monotone: a second read could let a completion fall due between the
+/// retirement and the enqueue, and then be booked before it.
 struct Worker {
     node: Node,
     rx: mpsc::Receiver<ToWorker>,
@@ -546,38 +561,40 @@ impl Worker {
                     Err(_) => break,
                 },
             };
+            let now = self.clock.now();
+            self.retire_due(now, &mut discards);
             match msg {
-                Some(ToWorker::Run(job)) => {
-                    let now = self.clock.now();
-                    self.node.enqueue(SimTime::new(now), job);
-                    self.dispatch(now, &mut discards);
-                }
-                Some(ToWorker::ResetStats) => {
-                    self.node.reset_stats(SimTime::new(self.clock.now()));
-                }
+                Some(ToWorker::Run(job)) => self.accept(now, job, &mut discards),
+                Some(ToWorker::ResetStats) => self.node.reset_stats(SimTime::new(now)),
                 Some(ToWorker::Shutdown) => break,
-                None => self.complete(&mut discards),
+                None => {}
             }
         }
         self.node
     }
 
-    /// The in-service job's completion instant arrived: finish it (if
-    /// its epoch is still current — preemption may have superseded it),
-    /// report, and start the next job.
-    fn complete(&mut self, discards: &mut Vec<Job>) {
-        let Some((epoch, done_at)) = self.pending.take() else {
-            return;
-        };
-        if !self.node.completion_is_current(epoch) {
-            return;
+    /// Retires every completion due by `now`, each at its scheduled
+    /// instant: the job is finished and reported, and the next dispatch
+    /// round runs at that same instant — repeatedly, while the job it
+    /// starts is due too. A completion whose epoch preemption has
+    /// superseded is dropped.
+    fn retire_due(&mut self, now: f64, discards: &mut Vec<Job>) {
+        while let Some((epoch, done_at)) = self.pending {
+            if done_at > now {
+                return;
+            }
+            self.pending = None;
+            if self.node.completion_is_current(epoch) {
+                let job = self.node.finish_service(SimTime::new(done_at));
+                let _ = self.manager.send(ToManager::Done { job });
+                self.dispatch(done_at, discards);
+            }
         }
-        // Observe completion on the real clock (never before the
-        // scheduled instant — the clock may lag a hair behind the
-        // timeout).
-        let now = self.clock.now().max(done_at);
-        let job = self.node.finish_service(SimTime::new(now));
-        let _ = self.manager.send(ToManager::Done { job });
+    }
+
+    /// Enqueues a job handed over at `now` and runs a dispatch round.
+    fn accept(&mut self, now: f64, job: Job, discards: &mut Vec<Job>) {
+        self.node.enqueue(SimTime::new(now), job);
         self.dispatch(now, discards);
     }
 
@@ -601,6 +618,85 @@ impl Worker {
 mod tests {
     use super::*;
     use sda_core::SdaStrategy;
+    use sda_sched::Policy;
+    use sda_system::OverloadPolicy;
+
+    /// A worker on in-process channels, and the manager's end of its
+    /// reports. Retirement takes `now` as a parameter, so the clock is
+    /// never read.
+    fn worker(
+        policy: Policy,
+        preemptive: bool,
+        overload: OverloadPolicy,
+    ) -> (Worker, mpsc::Receiver<ToManager>) {
+        let (_, rx) = mpsc::channel();
+        let (manager, reports) = mpsc::channel();
+        let worker = Worker {
+            node: Node::new(NodeId::new(0), policy),
+            rx,
+            manager,
+            clock: Arc::new(WallClock::new(1.0).unwrap()),
+            preemptive,
+            overload,
+            pending: None,
+        };
+        (worker, reports)
+    }
+
+    /// A local job of 1.0 unit of service.
+    fn job(id: u64, at: f64, deadline: f64) -> Job {
+        Job::local(TaskId::new(id), at, 1.0, deadline)
+    }
+
+    /// The reports so far, as (`true` for a completion, task id).
+    fn reports(rx: &mpsc::Receiver<ToManager>) -> Vec<(bool, u64)> {
+        rx.try_iter()
+            .map(|msg| match msg {
+                ToManager::Done { job } => (true, job.origin.task().raw()),
+                ToManager::Discarded { job } => (false, job.origin.task().raw()),
+                _ => panic!("a worker reports only completions and discards"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn late_retirement_keeps_the_schedule() {
+        let (mut w, rx) = worker(Policy::Fcfs, false, OverloadPolicy::NoAbort);
+        let mut discards = Vec::new();
+        for id in 0..3 {
+            w.accept(0.0, job(id, 0.0, 10.0), &mut discards);
+        }
+        // The thread wakes 1.5 units after the first completion was due.
+        w.retire_due(2.5, &mut discards);
+        assert_eq!(reports(&rx), [(true, 0), (true, 1)]);
+        let in_service = w.node.current().map(|j| j.origin.task());
+        assert_eq!(in_service, Some(TaskId::new(2)));
+        assert_eq!(w.pending, Some((w.node.service_epoch(), 3.0)));
+        assert_eq!(w.node.utilization(SimTime::new(2.5)), 1.0);
+    }
+
+    #[test]
+    fn superseded_epoch_is_dropped() {
+        let (mut w, rx) = worker(
+            Policy::EarliestDeadlineFirst,
+            true,
+            OverloadPolicy::AbortTardy,
+        );
+        let mut discards = Vec::new();
+        w.accept(0.0, job(0, 0.0, 0.4), &mut discards);
+        let first = w.pending;
+        // An earlier deadline preempts job 0 at 0.5; both are tardy by
+        // then, so both are discarded and the server goes idle.
+        w.accept(0.5, job(1, 0.5, 0.3), &mut discards);
+        assert_eq!(w.pending, first, "no job started after the preemption");
+        assert!(!w.node.is_busy());
+        w.retire_due(2.0, &mut discards);
+        assert_eq!(w.pending, None);
+        assert_eq!(reports(&rx), [(false, 1), (false, 0)]);
+        // The worker goes on serving from the instant it is handed work.
+        w.accept(2.0, job(2, 2.0, 5.0), &mut discards);
+        assert_eq!(w.pending, Some((w.node.service_epoch(), 3.0)));
+    }
 
     #[test]
     fn contract_compatibility_is_offered_at_most_requested() {
