@@ -1,13 +1,12 @@
 //! `sda-bench` — the machine-readable hot-path benchmark runner.
 //!
-//! Criterion (under `cargo bench`) remains the statistical perf gate;
-//! this binary is its quick, scriptable companion: it times the same
-//! hot-path scenarios end to end, **interleaves** the samples of every
-//! scenario round-robin (so thermal drift and background noise spread
-//! evenly instead of biasing whichever variant runs last — the classic
-//! A/B mistake), keeps the **best** sample per scenario (minimum wall
-//! time ≈ least-perturbed run) and writes `BENCH_hot_path.json` for
-//! CHANGES.md bookkeeping and cross-PR comparison.
+//! It times the hot-path scenarios end to end, **interleaves** the
+//! samples of every scenario round-robin (so thermal drift and
+//! background noise spread evenly instead of biasing whichever variant
+//! runs last — the classic A/B mistake), keeps the **best** sample per
+//! scenario (minimum wall time ≈ least-perturbed run) and writes
+//! `BENCH_hot_path.json` for CHANGES.md bookkeeping and cross-PR
+//! comparison.
 //!
 //! The scenario list covers the serial engine's four classic regimes
 //! plus a shard-count sweep of the conservative-parallel engine on a
@@ -21,6 +20,10 @@
 //! of hiding it.
 //!
 //! Usage: `cargo run --release -p sda-bench [-- --samples N --out PATH]`
+//!
+//! The output file is created before the first sample, so a bad `--out`
+//! fails at once. Either that or a failed run ends the process with one
+//! `error: …` line on stderr and exit status 1.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -31,6 +34,7 @@
 
 // sda-lint: allow(banned-api, reason = "wall time is the measurement this harness exists to take")
 use std::time::Instant;
+use std::{fs::File, io::Write};
 
 use sda_core::SdaStrategy;
 use sda_experiments::ext::network::speed_ramp;
@@ -174,6 +178,7 @@ fn main() {
         }
     }
 
+    let mut file = File::create(&out).unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
     let list = scenarios();
     let mut results: Vec<Sample> = list
         .iter()
@@ -188,7 +193,8 @@ fn main() {
         for (i, s) in list.iter().enumerate() {
             // sda-lint: allow(banned-api, reason = "timing the run is the benchmark; determinism is asserted on events below")
             let start = Instant::now();
-            let result = run_once_sharded(&s.cfg, &s.run, s.shards).expect("bench config is valid");
+            let result = run_once_sharded(&s.cfg, &s.run, s.shards)
+                .unwrap_or_else(|e| fail(&format!("{}: {e}", s.name)));
             let secs = start.elapsed().as_secs_f64();
             let r = &mut results[i];
             if round > 0 {
@@ -238,8 +244,16 @@ fn main() {
     }
     json.push_str("  }\n}\n");
 
-    std::fs::write(&out, &json).expect("write benchmark json");
+    if let Err(e) = file.write_all(json.as_bytes()) {
+        fail(&format!("cannot write {out}: {e}"));
+    }
     eprintln!("wrote {out}");
+}
+
+/// Prints the one-line `error: …` and exits with status 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
 }
 
 fn usage() -> ! {

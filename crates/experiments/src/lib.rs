@@ -3,8 +3,7 @@
 //! One module (and one binary) per artifact of the paper's evaluation,
 //! plus the §4.3/§5/§6 extension studies. Every module exposes a
 //! `run(&ExperimentOpts) -> SweepData` function so the same code drives
-//! the standalone binaries, the Criterion benches and the integration
-//! tests.
+//! the standalone binaries and the integration tests.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::event::{EventHandle, EventQueue};
+use crate::event::EventQueue;
 use crate::time::SimTime;
 
 /// A discrete-event model.
@@ -23,7 +23,6 @@ pub trait Simulation {
 pub struct Context<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    stop_requested: bool,
     events_handled: u64,
 }
 
@@ -32,7 +31,6 @@ impl<E> Context<E> {
         Context {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            stop_requested: false,
             events_handled: 0,
         }
     }
@@ -43,56 +41,25 @@ impl<E> Context<E> {
         self.now
     }
 
-    /// Schedules `event` at absolute time `at`, returning a handle for
-    /// possible cancellation.
-    ///
-    /// Prefer [`Context::schedule_fast_at`] when the event will never be
-    /// cancelled; it skips all handle bookkeeping.
+    /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time: the simulation
     /// cannot travel into the past.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.assert_future(at);
-        self.queue.schedule(at, event)
+        self.queue.schedule(at, event);
     }
 
-    /// Schedules `event` after a delay of `dt ≥ 0` model units, returning
-    /// a handle for possible cancellation.
-    ///
-    /// Prefer [`Context::schedule_fast_in`] when the event will never be
-    /// cancelled; it skips all handle bookkeeping.
+    /// Schedules `event` after a delay of `dt ≥ 0` model units.
     ///
     /// # Panics
     ///
     /// Panics if `dt` is negative, infinite or NaN.
-    pub fn schedule_in(&mut self, dt: f64, event: E) -> EventHandle {
+    pub fn schedule_in(&mut self, dt: f64, event: E) {
         self.assert_delay(dt);
-        self.queue.schedule(self.now + dt, event)
-    }
-
-    /// Schedules a never-cancellable `event` at absolute time `at` — the
-    /// hot path: no handle, no slab traffic, just a heap push.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_fast_at(&mut self, at: SimTime, event: E) {
-        self.assert_future(at);
-        self.queue.schedule_fast(at, event);
-    }
-
-    /// Schedules a never-cancellable `event` after a delay of `dt ≥ 0`
-    /// model units — the hot path: no handle, no slab traffic, just a
-    /// heap push.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is negative, infinite or NaN.
-    pub fn schedule_fast_in(&mut self, dt: f64, event: E) {
-        self.assert_delay(dt);
-        self.queue.schedule_fast(self.now + dt, event);
+        self.queue.schedule(self.now + dt, event);
     }
 
     #[inline]
@@ -113,11 +80,6 @@ impl<E> Context<E> {
         );
     }
 
-    /// Cancels a pending event. Returns `true` if it was still pending.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
-    }
-
     /// Sets the event queue's order-fuzz seed (see
     /// [`EventQueue::set_order_fuzz`]): 0 keeps exact FIFO order among
     /// simultaneous events, any other value replaces it with a seeded
@@ -125,16 +87,6 @@ impl<E> Context<E> {
     /// a whole-run permutation.
     pub fn set_order_fuzz(&mut self, seed: u64) {
         self.queue.set_order_fuzz(seed);
-    }
-
-    /// Asks the engine to stop after the current event completes.
-    pub fn stop(&mut self) {
-        self.stop_requested = true;
-    }
-
-    /// Number of events pending in the future-event list.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Number of events handled so far.
@@ -153,24 +105,9 @@ impl<E> fmt::Debug for Context<E> {
     }
 }
 
-/// Why a run loop returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The future-event list drained.
-    Exhausted,
-    /// The model called [`Context::stop`].
-    Stopped,
-    /// The time horizon given to [`Engine::run_until`] was reached.
-    HorizonReached,
-    /// The event budget given to [`Engine::run_events`] was exhausted.
-    BudgetExhausted,
-}
-
-/// Summary of a completed run loop.
+/// Summary of a completed [`Engine::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunReport {
-    /// Why the loop returned.
-    pub reason: StopReason,
     /// The clock value when the loop returned.
     pub end_time: SimTime,
     /// Total events handled during this call.
@@ -221,81 +158,24 @@ impl<S: Simulation> Engine<S> {
         self.model
     }
 
-    /// Handles exactly one event. Returns `false` if none was pending or a
-    /// stop was requested.
-    pub fn step(&mut self) -> bool {
-        if self.ctx.stop_requested {
-            return false;
-        }
-        match self.ctx.queue.pop() {
-            Some(scheduled) => {
-                debug_assert!(scheduled.time >= self.ctx.now, "event list went backwards");
-                self.ctx.now = scheduled.time;
-                self.ctx.events_handled += 1;
-                self.model.handle(&mut self.ctx, scheduled.event);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs until the event list drains or the model stops.
-    pub fn run(&mut self) -> RunReport {
-        let start_events = self.ctx.events_handled;
-        while self.step() {}
-        self.report(start_events, None)
-    }
-
-    /// Runs until `horizon` (inclusive of events at exactly `horizon`),
-    /// the event list drains, or the model stops. The clock is left at the
-    /// later of its current value and `horizon` when the horizon is the
-    /// binding constraint.
+    /// Runs every event at or before `horizon` (inclusive of events at
+    /// exactly `horizon`), then leaves the clock at the later of its
+    /// current value and `horizon` — also when the event list drains
+    /// first. Later events stay queued for the next call.
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
         let start_events = self.ctx.events_handled;
-        loop {
-            if self.ctx.stop_requested {
-                return self.report(start_events, None);
-            }
-            // Single heap access per event: pop-if-due instead of
-            // peek-then-pop.
-            match self.ctx.queue.pop_at_or_before(horizon) {
-                Some(scheduled) => {
-                    debug_assert!(scheduled.time >= self.ctx.now, "event list went backwards");
-                    self.ctx.now = scheduled.time;
-                    self.ctx.events_handled += 1;
-                    self.model.handle(&mut self.ctx, scheduled.event);
-                }
-                None => {
-                    if self.ctx.now < horizon {
-                        self.ctx.now = horizon;
-                    }
-                    return self.report(start_events, Some(StopReason::HorizonReached));
-                }
-            }
+        // Single heap access per event: pop-if-due instead of
+        // peek-then-pop.
+        while let Some(scheduled) = self.ctx.queue.pop_at_or_before(horizon) {
+            debug_assert!(scheduled.time >= self.ctx.now, "event list went backwards");
+            self.ctx.now = scheduled.time;
+            self.ctx.events_handled += 1;
+            self.model.handle(&mut self.ctx, scheduled.event);
         }
-    }
-
-    /// Runs at most `budget` events.
-    pub fn run_events(&mut self, budget: u64) -> RunReport {
-        let start_events = self.ctx.events_handled;
-        for _ in 0..budget {
-            if !self.step() {
-                return self.report(start_events, None);
-            }
+        if self.ctx.now < horizon {
+            self.ctx.now = horizon;
         }
-        self.report(start_events, Some(StopReason::BudgetExhausted))
-    }
-
-    fn report(&self, start_events: u64, forced: Option<StopReason>) -> RunReport {
-        let reason = if self.ctx.stop_requested {
-            StopReason::Stopped
-        } else if let Some(r) = forced {
-            r
-        } else {
-            StopReason::Exhausted
-        };
         RunReport {
-            reason,
             end_time: self.ctx.now,
             events: self.ctx.events_handled - start_events,
         }
@@ -341,70 +221,43 @@ mod tests {
     }
 
     #[test]
-    fn run_drains_queue() {
+    fn run_until_drains_queue_and_parks_the_clock_at_the_horizon() {
         let mut e = ticker(5);
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
+        let report = e.run_until(SimTime::from(10.0));
         assert_eq!(e.model().ticks, 5);
         assert_eq!(report.events, 5);
-        assert_eq!(report.end_time, SimTime::from(4.0));
+        // The last event fired at t = 4; the clock still reaches the
+        // horizon once the list has drained.
+        assert_eq!(report.end_time, SimTime::from(10.0));
+        assert_eq!(e.context().now(), SimTime::from(10.0));
     }
 
     #[test]
     fn run_until_respects_horizon_and_advances_clock() {
         let mut e = ticker(100);
         let report = e.run_until(SimTime::from(2.5));
-        assert_eq!(report.reason, StopReason::HorizonReached);
+        assert_eq!(report.events, 3);
         // Events at t = 0, 1, 2 fire; the next would be at 3.0 > 2.5.
         assert_eq!(e.model().ticks, 3);
         assert_eq!(e.context().now(), SimTime::from(2.5));
         // Continuing picks up where we left off.
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
+        let report = e.run_until(SimTime::from(1_000.0));
+        assert_eq!(report.events, 97);
         assert_eq!(e.model().ticks, 100);
-    }
-
-    #[test]
-    fn run_events_respects_budget() {
-        let mut e = ticker(100);
-        let report = e.run_events(10);
-        assert_eq!(report.reason, StopReason::BudgetExhausted);
-        assert_eq!(e.model().ticks, 10);
-    }
-
-    #[test]
-    fn stop_request_halts_loop() {
-        #[derive(Debug)]
-        struct Stopper;
-        impl Simulation for Stopper {
-            type Event = u32;
-            fn handle(&mut self, ctx: &mut Context<u32>, n: u32) {
-                if n >= 3 {
-                    ctx.stop();
-                } else {
-                    ctx.schedule_in(1.0, n + 1);
-                }
-            }
-        }
-        let mut e = Engine::new(Stopper);
-        e.context_mut().schedule_at(SimTime::ZERO, 0);
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Stopped);
-        assert_eq!(report.end_time, SimTime::from(3.0));
     }
 
     #[test]
     #[should_panic]
     fn scheduling_into_the_past_panics() {
         let mut e = ticker(2);
-        e.run();
+        e.run_until(SimTime::from(10.0));
         e.context_mut().schedule_at(SimTime::ZERO, Tick);
     }
 
     #[test]
     fn into_model_returns_state() {
         let mut e = ticker(2);
-        e.run();
+        e.run_until(SimTime::from(10.0));
         assert_eq!(e.into_model().ticks, 2);
     }
 
@@ -457,33 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_drives_the_loop_like_the_slow_path() {
-        #[derive(Debug, Default)]
-        struct FastTicker {
-            ticks: u32,
-        }
-        impl Simulation for FastTicker {
-            type Event = ();
-            fn handle(&mut self, ctx: &mut Context<()>, (): ()) {
-                self.ticks += 1;
-                if self.ticks < 5 {
-                    ctx.schedule_fast_in(1.0, ());
-                }
-            }
-        }
-        let mut e = Engine::new(FastTicker::default());
-        e.context_mut().schedule_fast_at(SimTime::ZERO, ());
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
-        assert_eq!(e.model().ticks, 5);
-        assert_eq!(report.end_time, SimTime::from(4.0));
-    }
-
-    #[test]
     fn events_handled_accumulates_across_calls() {
         let mut e = ticker(10);
-        e.run_events(4);
-        e.run();
+        e.run_until(SimTime::from(3.0));
+        e.run_until(SimTime::from(100.0));
         assert_eq!(e.context().events_handled(), 10);
     }
 }

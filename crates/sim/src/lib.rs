@@ -7,9 +7,8 @@
 //! library:
 //!
 //! * [`SimTime`] — a totally-ordered simulation clock value,
-//! * [`EventQueue`] — a slab-backed future-event list with deterministic
-//!   FIFO tie-breaking, O(1) generation-stamped cancellation and a
-//!   handle-free fast path for never-cancelled events,
+//! * [`EventQueue`] — the future-event list: payloads inline in the heap,
+//!   deterministic FIFO tie-breaking among simultaneous events,
 //! * [`pq`] — the packed-key 4-ary heap both it and the schedulers'
 //!   ready queues sit on,
 //! * [`Engine`] / [`Simulation`] — the event loop and the model trait,
@@ -64,7 +63,8 @@
 //!
 //! let mut engine = Engine::new(Queue::default());
 //! engine.context_mut().schedule_at(SimTime::ZERO, Ev::Arrival);
-//! engine.run();
+//! let report = engine.run_until(SimTime::from(20.0));
+//! assert_eq!(report.end_time, SimTime::from(20.0));
 //! assert!(engine.model().served > 0);
 //! ```
 
@@ -81,6 +81,6 @@ pub mod pq;
 pub mod rng;
 pub mod stats;
 
-pub use engine::{Context, Engine, RunReport, Simulation, StopReason};
-pub use event::{EventHandle, EventQueue, ScheduledEvent};
+pub use engine::{Context, Engine, RunReport, Simulation};
+pub use event::{EventQueue, ScheduledEvent};
 pub use time::SimTime;

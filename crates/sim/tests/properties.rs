@@ -31,116 +31,90 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly that subset.
+    /// The queue matches a naive reference model under arbitrary
+    /// interleavings of scheduling and popping: pops come in
+    /// (time, insertion) order, every event comes out exactly once, and
+    /// `len` tracks the model after every operation.
     #[test]
-    fn event_queue_cancellation_is_exact(
-        n in 1usize..100,
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
+    fn event_queue_matches_reference_model(
+        ops in prop::collection::vec((any::<bool>(), 0.0f64..64.0), 1..400),
     ) {
         let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..n).map(|i| q.schedule(SimTime::from(i as f64), i)).collect();
-        let mut expect: Vec<usize> = Vec::new();
-        for (i, h) in handles.iter().enumerate() {
-            if cancel_mask[i] {
-                prop_assert!(q.cancel(*h));
+        // Reference: (time, id) of pending events; ids are insertion order.
+        let mut pending: Vec<(f64, usize)> = Vec::new();
+        let mut id = 0usize;
+        for (is_schedule, t) in ops {
+            if is_schedule {
+                // Quantize times so equal-time FIFO ordering is exercised.
+                let t = (t * 2.0).floor() / 2.0;
+                q.schedule(SimTime::from(t), id);
+                pending.push((t, id));
+                id += 1;
             } else {
-                expect.push(i);
+                let expect = pending
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0).then(a.1 .1.cmp(&b.1 .1)))
+                    .map(|(k, _)| k)
+                    .map(|k| pending.remove(k));
+                let got = q.pop().map(|ev| (ev.time, ev.event));
+                prop_assert_eq!(got, expect.map(|(t, i)| (SimTime::from(t), i)));
             }
+            prop_assert_eq!(q.len(), pending.len());
         }
-        let mut got = Vec::new();
-        while let Some(ev) = q.pop() {
-            got.push(ev.event);
+        // Drain: the remainder comes out in reference order.
+        pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (t, i) in pending {
+            let got = q.pop().expect("queue drained early");
+            prop_assert_eq!((got.time, got.event), (SimTime::from(t), i));
         }
-        prop_assert_eq!(got, expect);
+        prop_assert!(q.pop().is_none());
+        prop_assert_eq!(q.scheduled_total(), id as u64);
     }
 
-    /// The slab queue matches a naive reference model under arbitrary
-    /// interleavings of both scheduling paths, cancellation and popping:
-    /// pops come in (time, insertion) order, exactly the non-cancelled
-    /// events come out, cancel is idempotent, and stale generations
-    /// (fired or cancelled handles, including after slot reuse) never
-    /// cancel anything.
+    /// The same interleavings under a non-zero order-fuzz seed: time
+    /// order stays exact and every event is delivered exactly once; only
+    /// the order among equal times may differ from the model.
     #[test]
-    fn slab_queue_matches_reference_model(
-        ops in prop::collection::vec((0u8..4, 0.0f64..64.0, any::<u64>()), 1..400),
+    fn fuzzed_event_queue_keeps_time_order_and_delivers_once(
+        seed in 1u64..u64::MAX,
+        ops in prop::collection::vec((any::<bool>(), 0.0f64..64.0), 1..400),
     ) {
         let mut q = EventQueue::new();
-        // Reference: (time, seq, id) of still-pending events, plus the
-        // clock floor pops must never go below.
-        let mut pending: Vec<(f64, usize, usize)> = Vec::new();
-        let mut handles = Vec::new();
-        let mut dead_handles = Vec::new();
+        q.set_order_fuzz(seed);
+        let mut pending: Vec<(f64, usize)> = Vec::new();
+        let mut delivered = Vec::new();
         let mut id = 0usize;
-        let mut popped_total = 0usize;
-        for (op, t, pick) in ops {
-            // Quantize times so equal-time FIFO ordering is exercised.
-            let t = (t * 2.0).floor() / 2.0;
-            match op {
-                0 => {
-                    let h = q.schedule(SimTime::from(t), id);
-                    handles.push((h, id));
-                    pending.push((t, id, id));
-                    id += 1;
-                }
-                1 => {
-                    q.schedule_fast(SimTime::from(t), id);
-                    pending.push((t, id, id));
-                    id += 1;
-                }
-                2 if !handles.is_empty() => {
-                    let k = (pick as usize) % handles.len();
-                    let (h, hid) = handles.swap_remove(k);
-                    let was_pending = pending.iter().any(|&(_, _, i)| i == hid);
-                    prop_assert_eq!(q.cancel(h), was_pending, "cancel({hid})");
-                    prop_assert!(!q.cancel(h), "cancel must be idempotent");
-                    pending.retain(|&(_, _, i)| i != hid);
-                    dead_handles.push(h);
-                }
-                _ => {
-                    pending.sort_by(|a, b| {
-                        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-                    });
-                    let expect = if pending.is_empty() {
-                        None
-                    } else {
-                        Some(pending.remove(0))
-                    };
-                    match (q.pop(), expect) {
-                        (None, None) => {}
-                        (Some(got), Some((et, _, eid))) => {
-                            prop_assert_eq!(got.event, eid);
-                            prop_assert_eq!(got.time, SimTime::from(et));
-                            // A popped cancellable event's handle is dead.
-                            if let Some(k) = handles.iter().position(|&(_, i)| i == eid) {
-                                let (h, _) = handles.swap_remove(k);
-                                prop_assert!(!q.cancel(h), "fired handle is dead");
-                                dead_handles.push(h);
-                            }
-                            popped_total += 1;
-                        }
-                        (got, expect) => {
-                            prop_assert!(false, "pop mismatch: got {got:?}, expected {expect:?}");
-                        }
+        for (is_schedule, t) in ops {
+            if is_schedule {
+                let t = (t * 2.0).floor() / 2.0;
+                q.schedule(SimTime::from(t), id);
+                pending.push((t, id));
+                id += 1;
+            } else {
+                let earliest = pending.iter().map(|&(t, _)| t).min_by(f64::total_cmp);
+                match q.pop() {
+                    Some(ev) => {
+                        // The popped event is pending and none fires earlier.
+                        prop_assert_eq!(Some(ev.time), earliest.map(SimTime::from));
+                        let k = pending.iter().position(|&(_, i)| i == ev.event);
+                        prop_assert!(k.is_some(), "event {} delivered twice", ev.event);
+                        prop_assert_eq!(SimTime::from(pending.swap_remove(k.unwrap()).0), ev.time);
+                        delivered.push(ev.event);
                     }
+                    None => prop_assert!(pending.is_empty(), "pop missed a pending event"),
                 }
             }
             prop_assert_eq!(q.len(), pending.len());
         }
-        // Every dead handle stays dead even after heavy slot reuse.
-        for h in dead_handles {
-            prop_assert!(!q.cancel(h), "stale generation resurrected");
+        let mut last = SimTime::ZERO;
+        while let Some(ev) = q.pop() {
+            prop_assert!(ev.time >= last, "time order violated");
+            last = ev.time;
+            delivered.push(ev.event);
         }
-        // Drain: the remainder comes out in reference order.
-        pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (et, _, eid) in pending {
-            let got = q.pop().expect("queue drained early");
-            prop_assert_eq!(got.event, eid);
-            prop_assert_eq!(got.time, SimTime::from(et));
-            popped_total += 1;
-        }
-        prop_assert!(q.pop().is_none());
-        prop_assert_eq!(q.scheduled_total(), id as u64);
-        prop_assert!(popped_total <= id);
+        delivered.sort_unstable();
+        prop_assert_eq!(delivered, (0..id).collect::<Vec<_>>());
     }
 
     /// `pop_at_or_before(h)` returns exactly the events `pop` would,
@@ -154,13 +128,8 @@ proptest! {
         let mut b = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             let t = (t * 4.0).floor() / 4.0;
-            if i % 3 == 0 {
-                a.schedule(SimTime::from(t), i);
-                b.schedule(SimTime::from(t), i);
-            } else {
-                a.schedule_fast(SimTime::from(t), i);
-                b.schedule_fast(SimTime::from(t), i);
-            }
+            a.schedule(SimTime::from(t), i);
+            b.schedule(SimTime::from(t), i);
         }
         let h = SimTime::from(horizon);
         loop {

@@ -174,7 +174,7 @@ impl EventSink for Context<Event> {
 
     #[inline]
     fn schedule(&mut self, delay: f64, event: Event) {
-        self.schedule_fast_in(delay, event);
+        self.schedule_in(delay, event);
     }
 }
 
@@ -339,7 +339,7 @@ impl SystemModel {
 
     fn schedule_next_local(&mut self, ctx: &mut Context<Event>, node: NodeId) {
         if let Some(gap) = self.factory.next_local_interarrival(node) {
-            ctx.schedule_fast_in(gap, Event::LocalArrival { node });
+            ctx.schedule_in(gap, Event::LocalArrival { node });
         }
     }
 
@@ -690,7 +690,7 @@ impl SystemModel {
             self.on_job_lost(ctx, job);
         }
         self.lost_buf = lost;
-        ctx.schedule_fast_in(up_at - now.as_f64(), Event::NodeUp { node });
+        ctx.schedule_in(up_at - now.as_f64(), Event::NodeUp { node });
     }
 
     /// [`Event::NodeUp`]: the node rejoins with empty queues, and the
@@ -699,7 +699,7 @@ impl SystemModel {
         let now = ctx.now();
         self.nodes[node.index()].recover(now);
         if let Some((down, up)) = self.timeline.next_outage(node.index()) {
-            ctx.schedule_fast_in(down - now.as_f64(), Event::NodeDown { node, up_at: up });
+            ctx.schedule_in(down - now.as_f64(), Event::NodeDown { node, up_at: up });
         }
     }
 
@@ -760,7 +760,7 @@ impl Simulation for SystemModel {
                 self.schedule_next_global(ctx);
                 for i in 0..self.config.workload.nodes {
                     if let Some((down, up)) = self.timeline.next_outage(i) {
-                        ctx.schedule_fast_in(
+                        ctx.schedule_in(
                             down,
                             Event::NodeDown {
                                 node: NodeId::new(i as u32),
@@ -770,7 +770,7 @@ impl Simulation for SystemModel {
                     }
                 }
                 if warmup_end > 0.0 {
-                    ctx.schedule_fast_in(warmup_end, Event::EndWarmup);
+                    ctx.schedule_in(warmup_end, Event::EndWarmup);
                 }
             }
             Event::LocalArrival { node } => self.handle_local_arrival(ctx, node),

@@ -10,9 +10,8 @@
 //! it with a null-message-free bulk-synchronous protocol:
 //!
 //! * the node set is partitioned into contiguous **shards**; each shard
-//!   worker owns its members' [`Node`] state and a private slab-backed
-//!   [`EventQueue`] of node-side events (deliveries and service
-//!   completions);
+//!   worker owns its members' [`Node`] state and a private [`EventQueue`]
+//!   of node-side events (deliveries and service completions);
 //! * the **process manager** runs as a deterministically-merged shard of
 //!   its own on the calling thread: it owns the only
 //!   [`TaskFactory`](sda_workload::TaskFactory) (all randomness), the
@@ -247,7 +246,7 @@ enum ShardEvent {
 /// The manager's [`EventSink`]: hand-offs go to the cross-shard delivery
 /// calendar, manager-endpoint events to the manager's own queue. The
 /// timestamp arithmetic (`SimTime::new(now + delay)`) is bit-identical
-/// to the serial [`Context::schedule_fast_in`](sda_sim::Context).
+/// to the serial [`Context::schedule_in`](sda_sim::Context).
 struct ManagerSink<'a> {
     now: f64,
     calendar: &'a mut EventQueue<CalEntry>,
@@ -268,11 +267,10 @@ impl EventSink for ManagerSink<'_> {
         let at = SimTime::new(self.now + delay);
         match event {
             Event::SubtaskArrive { task, sub } => {
-                self.calendar
-                    .schedule_fast(at, CalEntry::Handoff { task, sub });
+                self.calendar.schedule(at, CalEntry::Handoff { task, sub });
             }
             Event::GlobalArrival | Event::ResultReturn { .. } | Event::EndWarmup => {
-                self.queue.schedule_fast(at, event);
+                self.queue.schedule(at, event);
             }
             Event::Init { .. }
             | Event::LocalArrival { .. }
@@ -337,7 +335,7 @@ impl Sequencer {
             let task = model.factory_mut().make_local(node, t);
             let id = model.manager_mut().fresh_local_id();
             let job = Job::local(id, t, task.attrs.ex, task.attrs.deadline);
-            calendar.schedule_fast(SimTime::new(t), CalEntry::Arrival { node, job });
+            calendar.schedule(SimTime::new(t), CalEntry::Arrival { node, job });
             if let Some(gap) = model.factory_mut().next_local_interarrival(node) {
                 self.heap
                     .push(std::cmp::Reverse(((t + gap).to_bits(), idx)));
@@ -415,7 +413,7 @@ impl ShardWorker {
         inbox.drain_into(&mut self.scratch);
         for i in 0..self.scratch.len() {
             let h = self.scratch[i];
-            self.queue.schedule_fast(
+            self.queue.schedule(
                 SimTime::new(h.time),
                 ShardEvent::Deliver {
                     node: h.node,
@@ -489,17 +487,15 @@ impl ShardWorker {
                         )?;
                     }
                     self.queue
-                        .schedule_fast(SimTime::new(up_at), ShardEvent::Up { node });
+                        .schedule(SimTime::new(up_at), ShardEvent::Up { node });
                 }
                 ShardEvent::Up { node } => {
                     self.events += 1;
                     let li = node.index() - self.base;
                     self.nodes[li].recover(now_t);
                     if let Some((down, up)) = self.timeline.next_outage(node.index()) {
-                        self.queue.schedule_fast(
-                            SimTime::new(down),
-                            ShardEvent::Down { node, up_at: up },
-                        );
+                        self.queue
+                            .schedule(SimTime::new(down), ShardEvent::Down { node, up_at: up });
                     }
                 }
                 ShardEvent::EndWarmup => {
@@ -532,7 +528,7 @@ impl ShardWorker {
             let epoch = self.nodes[li].service_epoch();
             let node = self.nodes[li].id();
             self.queue
-                .schedule_fast(now_t + job.service, ShardEvent::Complete { node, epoch });
+                .schedule(now_t + job.service, ShardEvent::Complete { node, epoch });
         }
         Ok(())
     }
@@ -721,7 +717,7 @@ fn drain_calendar(
                     // their calendar order through the queue's FIFO
                     // tie-break, which is the serial engine's
                     // same-instant processing order.
-                    mgr_queue.schedule_fast(at, Event::SubtaskArrive { task, sub });
+                    mgr_queue.schedule(at, Event::SubtaskArrive { task, sub });
                     continue;
                 }
                 let job = Job::global(
@@ -829,7 +825,7 @@ fn run_sharded_inner_with_capacity(
             queue.set_order_fuzz(run.order_fuzz.wrapping_add(s as u64 + 2));
         }
         if run.warmup > 0.0 {
-            queue.schedule_fast(SimTime::new(run.warmup), ShardEvent::EndWarmup);
+            queue.schedule(SimTime::new(run.warmup), ShardEvent::EndWarmup);
         }
         // Every worker builds the full fleet's timeline (bit-identical
         // across copies) but consumes only its own nodes' streams.
@@ -837,7 +833,7 @@ fn run_sharded_inner_with_capacity(
         for li in 0..block.len() {
             let gi = bounds[s] + li;
             if let Some((down, up)) = timeline.next_outage(gi) {
-                queue.schedule_fast(
+                queue.schedule(
                     SimTime::new(down),
                     ShardEvent::Down {
                         node: NodeId::new(gi as u32),
@@ -880,7 +876,7 @@ fn run_sharded_inner_with_capacity(
         model.schedule_next_global(&mut sink);
     }
     if run.warmup > 0.0 {
-        mgr_queue.schedule_fast(SimTime::new(run.warmup), Event::EndWarmup);
+        mgr_queue.schedule(SimTime::new(run.warmup), Event::EndWarmup);
     }
 
     let mailboxes: Vec<Mailbox<Handoff>> = (0..shard_count)

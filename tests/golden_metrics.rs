@@ -2,8 +2,9 @@
 //!
 //! These pin the *exact* bit patterns of seeded runs, captured on the
 //! pre-refactor event loop (BinaryHeap + tombstone-set future-event list,
-//! cancellation-based preemption). The slab-backed, cancellation-free hot
-//! path must reproduce every one of them bit-for-bit: same arrivals, same
+//! cancellation-based preemption). Today's event loop — payloads inline
+//! in a packed-key heap, no cancellation, epoch-validated completions —
+//! must reproduce every one of them bit-for-bit: same arrivals, same
 //! service order, same misses, same utilization integrals.
 //!
 //! If an *intentional* behavior change ever invalidates these, regenerate
