@@ -222,6 +222,20 @@ impl ExperimentOpts {
         if opts.mailbox_capacity == Some(0) {
             return Err("--mailbox-capacity must be ≥ 1".to_string());
         }
+        // The same run-length rules as the live runtime's `run_wall`: a NaN
+        // or infinite horizon never ends, and an empty one measures nothing.
+        if !(opts.warmup.is_finite() && opts.warmup >= 0.0) {
+            return Err(format!(
+                "--warmup must be finite and ≥ 0, got {}",
+                opts.warmup
+            ));
+        }
+        if !(opts.duration.is_finite() && opts.duration > 0.0) {
+            return Err(format!(
+                "--duration must be finite and > 0, got {}",
+                opts.duration
+            ));
+        }
         Ok(opts)
     }
 
@@ -725,6 +739,20 @@ mod tests {
         assert!(!smoke.screen);
         let screened = ExperimentOpts::parse(&["--screen".into()]).unwrap();
         assert!(screened.screen);
+        for (flag, value) in [
+            ("--warmup", "nan"),
+            ("--warmup", "inf"),
+            ("--warmup", "-1"),
+            ("--duration", "inf"),
+            ("--duration", "-5"),
+            ("--duration", "0"),
+        ] {
+            let err = ExperimentOpts::parse(&["--smoke".into(), flag.into(), value.into()])
+                .expect_err("an impossible run length must be rejected");
+            assert!(err.starts_with(flag), "{flag} {value}: {err}");
+        }
+        let zero_warmup = ExperimentOpts::parse(&["--warmup".into(), "0".into()]).unwrap();
+        assert_eq!(zero_warmup.warmup, 0.0);
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //!
 //! Binaries accept `--full` (paper-scale runs: 2 × 10⁶ time units),
 //! `--quick` (CI-scale), `--smoke` (single-rep end-to-end exercise),
-//! `--reps N`, `--duration T`, `--warmup T`, `--seed S`, `--threads N`,
+//! `--reps N`, `--duration T` (finite, > 0), `--warmup T` (finite,
+//! ≥ 0), `--seed S`, `--threads N`,
 //! `--shards N` (split each run across N cores via the sharded
 //! conservative-parallel engine — results are identical for any shard
 //! count), `--mailbox-capacity N` (explicit cross-shard mailbox bound;

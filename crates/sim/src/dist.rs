@@ -7,16 +7,18 @@
 //! keeping the sampling code in-tree and auditable.
 //!
 //! All constructors validate their parameters ([`DistError`]); all types
-//! report their analytic [`mean`](Dist::mean), which the workload crate
-//! uses to derive arrival rates from a target utilization.
+//! report their analytic mean, which the workload crate uses to derive
+//! arrival rates from a target utilization. Each type draws through an
+//! inlinable `sample_with`; [`Sampler`] is the closed sum that hot paths
+//! hold.
 //!
 //! ```
-//! use sda_sim::dist::{Dist, Exponential};
+//! use sda_sim::dist::Exponential;
 //! use sda_sim::rng::RngFactory;
 //!
 //! let exp = Exponential::with_mean(2.0)?;
 //! let mut rng = RngFactory::new(1).stream("svc");
-//! let x = exp.sample(&mut rng);
+//! let x = exp.sample_with(&mut rng);
 //! assert!(x >= 0.0);
 //! assert_eq!(exp.mean(), 2.0);
 //! # Ok::<(), sda_sim::dist::DistError>(())
@@ -46,8 +48,6 @@ pub enum DistError {
         /// Upper bound supplied.
         hi: f64,
     },
-    /// Mixture weights that do not form a probability vector.
-    BadWeights,
 }
 
 impl fmt::Display for DistError {
@@ -59,7 +59,6 @@ impl fmt::Display for DistError {
             DistError::BadRange { lo, hi } => {
                 write!(f, "invalid range [{lo}, {hi}]")
             }
-            DistError::BadWeights => write!(f, "mixture weights must be positive and sum to 1"),
         }
     }
 }
@@ -72,18 +71,6 @@ fn require_positive(what: &'static str, value: f64) -> Result<f64, DistError> {
     } else {
         Err(DistError::NonPositive { what, value })
     }
-}
-
-/// A real-valued distribution that can be sampled from any RNG.
-///
-/// The trait is object-safe so heterogeneous models can hold
-/// `Box<dyn Dist>`.
-pub trait Dist: fmt::Debug {
-    /// Draws one variate.
-    fn sample(&self, rng: &mut dyn RngCore) -> f64;
-
-    /// The analytic mean of the distribution.
-    fn mean(&self) -> f64;
 }
 
 /// The degenerate distribution: always returns the same value.
@@ -110,26 +97,14 @@ impl Constant {
         self.0
     }
 
-    /// Analytic variance (zero: every draw is the same value).
-    pub fn variance(&self) -> f64 {
-        0.0
-    }
-}
-
-impl Constant {
-    /// Draws one variate from any RNG without trait-object indirection.
-    #[inline]
-    pub fn sample_with<R: RngCore + ?Sized>(&self, _rng: &mut R) -> f64 {
+    /// The analytic mean: the constant itself.
+    pub fn mean(&self) -> f64 {
         self.0
     }
-}
 
-impl Dist for Constant {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
+    /// Draws one variate from any RNG.
+    #[inline]
+    pub fn sample_with<R: RngCore + ?Sized>(&self, _rng: &mut R) -> f64 {
         self.0
     }
 }
@@ -164,10 +139,9 @@ impl Uniform {
         self.hi
     }
 
-    /// Analytic variance `(hi − lo)² / 12`.
-    pub fn variance(&self) -> f64 {
-        let span = self.hi - self.lo;
-        span * span / 12.0
+    /// The analytic mean `(lo + hi) / 2`.
+    pub fn mean(&self) -> f64 {
+        0.5 * (self.lo + self.hi)
     }
 
     /// Returns a copy with both bounds multiplied by `factor ≥ 0`.
@@ -183,24 +157,12 @@ impl Uniform {
         }
         Uniform::new(self.lo * factor, self.hi * factor)
     }
-}
 
-impl Uniform {
-    /// Draws one variate from any RNG without trait-object indirection.
+    /// Draws one variate from any RNG.
     #[inline]
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen();
         self.lo + (self.hi - self.lo) * u
-    }
-}
-
-impl Dist for Uniform {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
     }
 }
 
@@ -232,29 +194,17 @@ impl Exponential {
         1.0 / self.mean
     }
 
-    /// Analytic variance `mean²` (CV² = 1).
-    pub fn variance(&self) -> f64 {
-        self.mean * self.mean
+    /// The analytic mean `1/λ`.
+    pub fn mean(&self) -> f64 {
+        self.mean
     }
-}
 
-impl Exponential {
-    /// Draws one variate from any RNG without trait-object indirection.
+    /// Draws one variate from any RNG.
     #[inline]
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         // Inverse transform: -mean · ln(1 - U), with U ∈ [0, 1).
         let u: f64 = rng.gen();
         -self.mean * (1.0 - u).ln()
-    }
-}
-
-impl Dist for Exponential {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
     }
 }
 
@@ -288,14 +238,12 @@ impl Erlang {
         self.stages
     }
 
-    /// Analytic variance `stages · stage_mean²` (CV² = 1/stages).
-    pub fn variance(&self) -> f64 {
-        f64::from(self.stages) * self.stage_mean * self.stage_mean
+    /// The analytic mean `stages · stage_mean`.
+    pub fn mean(&self) -> f64 {
+        f64::from(self.stages) * self.stage_mean
     }
-}
 
-impl Erlang {
-    /// Draws one variate from any RNG without trait-object indirection.
+    /// Draws one variate from any RNG.
     #[inline]
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         // Product-of-uniforms trick: Σ Exp(m) = -m · ln(Π Uᵢ).
@@ -305,76 +253,6 @@ impl Erlang {
             prod *= 1.0 - u;
         }
         -self.stage_mean * prod.ln()
-    }
-}
-
-impl Dist for Erlang {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        f64::from(self.stages) * self.stage_mean
-    }
-}
-
-/// Two-phase hyperexponential: with probability `p` draw from an
-/// exponential of mean `mean1`, else of mean `mean2`.
-///
-/// Used in sensitivity studies for high-variance service times
-/// (CV² > 1, unlike the exponential's CV² = 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Hyper2 {
-    p: f64,
-    mean1: f64,
-    mean2: f64,
-}
-
-impl Hyper2 {
-    /// Mixture `p·Exp(mean1) + (1-p)·Exp(mean2)`, `p ∈ [0, 1]`.
-    pub fn new(p: f64, mean1: f64, mean2: f64) -> Result<Hyper2, DistError> {
-        if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-            return Err(DistError::BadWeights);
-        }
-        Ok(Hyper2 {
-            p,
-            mean1: require_positive("hyper2 mean1", mean1)?,
-            mean2: require_positive("hyper2 mean2", mean2)?,
-        })
-    }
-
-    /// Analytic variance: `E[X²] = 2(p·mean1² + (1−p)·mean2²)` for the
-    /// exponential mixture, minus the squared mean.
-    pub fn variance(&self) -> f64 {
-        let ex2 =
-            2.0 * (self.p * self.mean1 * self.mean1 + (1.0 - self.p) * self.mean2 * self.mean2);
-        let m = self.p * self.mean1 + (1.0 - self.p) * self.mean2;
-        ex2 - m * m
-    }
-}
-
-impl Hyper2 {
-    /// Draws one variate from any RNG without trait-object indirection.
-    #[inline]
-    pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        let coin: f64 = rng.gen();
-        let mean = if coin < self.p {
-            self.mean1
-        } else {
-            self.mean2
-        };
-        let u: f64 = rng.gen();
-        -mean * (1.0 - u).ln()
-    }
-}
-
-impl Dist for Hyper2 {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.p * self.mean1 + (1.0 - self.p) * self.mean2
     }
 }
 
@@ -409,14 +287,12 @@ impl LogNormal {
         (self.sigma * self.sigma).exp_m1()
     }
 
-    /// Analytic variance `mean² · CV²`.
-    pub fn variance(&self) -> f64 {
-        self.mean * self.mean * self.cv2()
+    /// The analytic mean.
+    pub fn mean(&self) -> f64 {
+        self.mean
     }
-}
 
-impl LogNormal {
-    /// Draws one variate from any RNG without trait-object indirection.
+    /// Draws one variate from any RNG.
     #[inline]
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         // Box-Muller; u1 nudged away from 0 to keep ln() finite.
@@ -424,16 +300,6 @@ impl LogNormal {
         let u2: f64 = rng.gen();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (self.mu + self.sigma * z).exp()
-    }
-}
-
-impl Dist for LogNormal {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
     }
 }
 
@@ -470,20 +336,12 @@ impl Pareto {
         self.alpha
     }
 
-    /// Analytic variance `x_m² α / ((α−1)²(α−2))`; infinite for
-    /// `α ≤ 2` (the heavy-tailed regime).
-    pub fn variance(&self) -> f64 {
-        if self.alpha > 2.0 {
-            let a1 = self.alpha - 1.0;
-            self.xm * self.xm * self.alpha / (a1 * a1 * (self.alpha - 2.0))
-        } else {
-            f64::INFINITY
-        }
+    /// The analytic mean `x_m α / (α − 1)`.
+    pub fn mean(&self) -> f64 {
+        self.xm * self.alpha / (self.alpha - 1.0)
     }
-}
 
-impl Pareto {
-    /// Draws one variate from any RNG without trait-object indirection.
+    /// Draws one variate from any RNG.
     #[inline]
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen::<f64>().min(1.0 - 1e-16);
@@ -491,63 +349,19 @@ impl Pareto {
     }
 }
 
-impl Dist for Pareto {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.xm * self.alpha / (self.alpha - 1.0)
-    }
-}
-
-/// A distribution shifted by a constant offset: `base + offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Shifted<D> {
-    base: D,
-    offset: f64,
-}
-
-impl<D: Dist> Shifted<D> {
-    /// Shifts `base` by a finite `offset`.
-    pub fn new(base: D, offset: f64) -> Result<Shifted<D>, DistError> {
-        if offset.is_finite() {
-            Ok(Shifted { base, offset })
-        } else {
-            Err(DistError::NonPositive {
-                what: "shift offset",
-                value: offset,
-            })
-        }
-    }
-}
-
-impl<D: Dist> Dist for Shifted<D> {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.base.sample(rng) + self.offset
-    }
-
-    fn mean(&self) -> f64 {
-        self.base.mean() + self.offset
-    }
-}
-
-/// A closed sum of every in-tree distribution: the devirtualized
-/// counterpart of `Box<dyn Dist>`.
+/// A closed sum of every in-tree distribution.
 ///
 /// Hot paths that draw millions of variates per run (service times,
-/// interarrival gaps) hold a `Sampler` instead of a boxed trait object so
-/// every draw is a direct, inlinable call — no vtable, no heap
-/// allocation, no `&mut dyn RngCore` indirection. The sampling math is
-/// shared with the concrete types (each variant delegates to its
-/// `sample_with`), so the drawn sequence is bit-identical to the boxed
-/// path.
+/// interarrival gaps) hold a `Sampler`, so every draw is a direct,
+/// inlinable call: no vtable, no heap allocation, no `&mut dyn RngCore`
+/// indirection. Each variant delegates to its type's `sample_with`, so a
+/// `Sampler` draws exactly the sequence the wrapped distribution would.
 ///
 /// ```
-/// use sda_sim::dist::{DistSpec, Sampler};
+/// use sda_sim::dist::{Exponential, Sampler};
 /// use sda_sim::rng::RngFactory;
 ///
-/// let s: Sampler = DistSpec::Exponential { mean: 2.0 }.build_sampler()?;
+/// let s = Sampler::Exponential(Exponential::with_mean(2.0)?);
 /// let mut rng = RngFactory::new(1).stream("svc");
 /// assert!(s.sample_with(&mut rng) >= 0.0);
 /// assert_eq!(s.mean(), 2.0);
@@ -563,8 +377,6 @@ pub enum Sampler {
     Exponential(Exponential),
     /// See [`Erlang`].
     Erlang(Erlang),
-    /// See [`Hyper2`].
-    Hyper2(Hyper2),
     /// See [`LogNormal`].
     LogNormal(LogNormal),
     /// See [`Pareto`].
@@ -572,7 +384,7 @@ pub enum Sampler {
 }
 
 impl Sampler {
-    /// Draws one variate via a direct (devirtualized) call.
+    /// Draws one variate via a direct, inlinable call.
     #[inline]
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         match self {
@@ -580,7 +392,6 @@ impl Sampler {
             Sampler::Uniform(d) => d.sample_with(rng),
             Sampler::Exponential(d) => d.sample_with(rng),
             Sampler::Erlang(d) => d.sample_with(rng),
-            Sampler::Hyper2(d) => d.sample_with(rng),
             Sampler::LogNormal(d) => d.sample_with(rng),
             Sampler::Pareto(d) => d.sample_with(rng),
         }
@@ -593,159 +404,9 @@ impl Sampler {
             Sampler::Uniform(d) => d.mean(),
             Sampler::Exponential(d) => d.mean(),
             Sampler::Erlang(d) => d.mean(),
-            Sampler::Hyper2(d) => d.mean(),
             Sampler::LogNormal(d) => d.mean(),
             Sampler::Pareto(d) => d.mean(),
         }
-    }
-
-    /// The analytic variance of the wrapped distribution
-    /// (`f64::INFINITY` for Pareto with `α ≤ 2`).
-    pub fn variance(&self) -> f64 {
-        match self {
-            Sampler::Constant(d) => d.variance(),
-            Sampler::Uniform(d) => d.variance(),
-            Sampler::Exponential(d) => d.variance(),
-            Sampler::Erlang(d) => d.variance(),
-            Sampler::Hyper2(d) => d.variance(),
-            Sampler::LogNormal(d) => d.variance(),
-            Sampler::Pareto(d) => d.variance(),
-        }
-    }
-
-    /// The analytic second moment `E[X²] = Var + mean²`.
-    pub fn second_moment(&self) -> f64 {
-        let m = self.mean();
-        self.variance() + m * m
-    }
-
-    /// The squared coefficient of variation `Var / mean²`; zero when
-    /// the mean is zero (only a degenerate `Constant(0)`).
-    pub fn scv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.variance() / (m * m)
-        }
-    }
-}
-
-impl Dist for Sampler {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.sample_with(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        Sampler::mean(self)
-    }
-}
-
-/// A serializable, cloneable description of a distribution, resolvable to
-/// a sampler. This is what configuration files carry.
-///
-/// ```
-/// use sda_sim::dist::{Dist, DistSpec};
-/// let spec = DistSpec::Exponential { mean: 1.0 };
-/// let d = spec.build()?;
-/// assert_eq!(d.mean(), 1.0);
-/// # Ok::<(), sda_sim::dist::DistError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DistSpec {
-    /// See [`Constant`].
-    Constant {
-        /// The constant value.
-        value: f64,
-    },
-    /// See [`Uniform`].
-    Uniform {
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
-    /// See [`Exponential`].
-    Exponential {
-        /// Mean (`1/λ`).
-        mean: f64,
-    },
-    /// See [`Erlang`].
-    Erlang {
-        /// Number of phases.
-        stages: u32,
-        /// Mean of each phase.
-        stage_mean: f64,
-    },
-    /// See [`Hyper2`].
-    Hyper2 {
-        /// Probability of the first phase.
-        p: f64,
-        /// Mean of the first phase.
-        mean1: f64,
-        /// Mean of the second phase.
-        mean2: f64,
-    },
-    /// See [`LogNormal`].
-    LogNormal {
-        /// The distribution mean.
-        mean: f64,
-        /// Squared coefficient of variation.
-        cv2: f64,
-    },
-    /// See [`Pareto`].
-    Pareto {
-        /// The distribution mean.
-        mean: f64,
-        /// Tail index (> 1).
-        alpha: f64,
-    },
-}
-
-impl DistSpec {
-    /// Builds a boxed sampler from the description.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError`] if the parameters are invalid, with the same
-    /// rules as the concrete constructors.
-    pub fn build(&self) -> Result<Box<dyn Dist + Send + Sync>, DistError> {
-        Ok(Box::new(self.build_sampler()?))
-    }
-
-    /// Builds the devirtualized [`Sampler`] from the description — the
-    /// allocation-free counterpart of [`DistSpec::build`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError`] if the parameters are invalid, with the same
-    /// rules as the concrete constructors.
-    pub fn build_sampler(&self) -> Result<Sampler, DistError> {
-        Ok(match *self {
-            DistSpec::Constant { value } => Sampler::Constant(Constant::new(value)?),
-            DistSpec::Uniform { lo, hi } => Sampler::Uniform(Uniform::new(lo, hi)?),
-            DistSpec::Exponential { mean } => Sampler::Exponential(Exponential::with_mean(mean)?),
-            DistSpec::Erlang { stages, stage_mean } => {
-                Sampler::Erlang(Erlang::new(stages, stage_mean)?)
-            }
-            DistSpec::Hyper2 { p, mean1, mean2 } => Sampler::Hyper2(Hyper2::new(p, mean1, mean2)?),
-            DistSpec::LogNormal { mean, cv2 } => {
-                Sampler::LogNormal(LogNormal::with_mean_cv2(mean, cv2)?)
-            }
-            DistSpec::Pareto { mean, alpha } => Sampler::Pareto(Pareto::with_mean(mean, alpha)?),
-        })
-    }
-
-    /// Analytic mean of the described distribution, if the parameters are
-    /// valid.
-    pub fn mean(&self) -> Result<f64, DistError> {
-        Ok(self.build_sampler()?.mean())
-    }
-
-    /// Analytic variance of the described distribution, if the
-    /// parameters are valid (`f64::INFINITY` for Pareto with `α ≤ 2`).
-    pub fn variance(&self) -> Result<f64, DistError> {
-        Ok(self.build_sampler()?.variance())
     }
 }
 
@@ -758,17 +419,19 @@ mod tests {
         RngFactory::new(2024).stream("dist-tests")
     }
 
-    fn sample_mean(d: &dyn Dist, n: usize) -> f64 {
+    fn sample_mean(d: &Sampler, n: usize) -> f64 {
         let mut r = rng();
-        (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64
+        (0..n).map(|_| d.sample_with(&mut r)).sum::<f64>() / n as f64
     }
 
     #[test]
     fn constant_returns_value() {
         let c = Constant::new(3.5).unwrap();
         let mut r = rng();
-        assert_eq!(c.sample(&mut r), 3.5);
+        assert_eq!(c.sample_with(&mut r), 3.5);
         assert_eq!(c.mean(), 3.5);
+        assert_eq!(Sampler::Constant(c).sample_with(&mut r), 3.5);
+        assert_eq!(Sampler::Constant(c).mean(), 3.5);
         assert!(Constant::new(f64::NAN).is_err());
     }
 
@@ -777,10 +440,11 @@ mod tests {
         let u = Uniform::new(0.25, 2.5).unwrap();
         let mut r = rng();
         for _ in 0..10_000 {
-            let x = u.sample(&mut r);
+            let x = u.sample_with(&mut r);
             assert!((0.25..=2.5).contains(&x));
         }
-        assert!((sample_mean(&u, 100_000) - 1.375).abs() < 0.01);
+        assert_eq!(u.mean(), 1.375);
+        assert!((sample_mean(&Sampler::Uniform(u), 100_000) - 1.375).abs() < 0.01);
         assert!(Uniform::new(2.0, 1.0).is_err());
         assert!(Uniform::new(f64::NEG_INFINITY, 1.0).is_err());
     }
@@ -798,9 +462,9 @@ mod tests {
         let e = Exponential::with_mean(2.0).unwrap();
         let mut r = rng();
         for _ in 0..1000 {
-            assert!(e.sample(&mut r) >= 0.0);
+            assert!(e.sample_with(&mut r) >= 0.0);
         }
-        assert!((sample_mean(&e, 200_000) - 2.0).abs() < 0.05);
+        assert!((sample_mean(&Sampler::Exponential(e), 200_000) - 2.0).abs() < 0.05);
         assert_eq!(e.rate(), 0.5);
         assert!(Exponential::with_mean(0.0).is_err());
         assert!(Exponential::with_rate(-1.0).is_err());
@@ -816,12 +480,12 @@ mod tests {
     fn erlang_mean_and_shape() {
         let e = Erlang::new(4, 1.0).unwrap();
         assert_eq!(e.mean(), 4.0);
-        assert!((sample_mean(&e, 100_000) - 4.0).abs() < 0.1);
+        assert!((sample_mean(&Sampler::Erlang(e), 100_000) - 4.0).abs() < 0.1);
         // Erlang-4 has CV² = 1/4; check the variance is clearly below the
         // exponential's (which would be mean² = 16).
         let mut r = rng();
         let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| e.sample(&mut r)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| e.sample_with(&mut r)).collect();
         let m = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (n - 1) as f64;
         assert!(
@@ -832,54 +496,15 @@ mod tests {
     }
 
     #[test]
-    fn hyper2_mean() {
-        let h = Hyper2::new(0.3, 1.0, 5.0).unwrap();
-        assert!((h.mean() - 3.8).abs() < 1e-12);
-        assert!((sample_mean(&h, 300_000) - 3.8).abs() < 0.1);
-        assert!(Hyper2::new(1.5, 1.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn shifted_adds_offset() {
-        let s = Shifted::new(Constant::new(1.0).unwrap(), 2.0).unwrap();
-        let mut r = rng();
-        assert_eq!(s.sample(&mut r), 3.0);
-        assert_eq!(s.mean(), 3.0);
-    }
-
-    #[test]
-    fn spec_builds_and_reports_mean() {
-        let specs = [
-            DistSpec::Constant { value: 1.0 },
-            DistSpec::Uniform { lo: 0.0, hi: 2.0 },
-            DistSpec::Exponential { mean: 1.5 },
-            DistSpec::Erlang {
-                stages: 3,
-                stage_mean: 2.0,
-            },
-            DistSpec::Hyper2 {
-                p: 0.5,
-                mean1: 1.0,
-                mean2: 2.0,
-            },
-        ];
-        let means = [1.0, 1.0, 1.5, 6.0, 1.5];
-        for (spec, want) in specs.iter().zip(means) {
-            assert!((spec.mean().unwrap() - want).abs() < 1e-12);
-        }
-        assert!(DistSpec::Exponential { mean: -1.0 }.build().is_err());
-    }
-
-    #[test]
     fn lognormal_mean_and_cv2() {
         let ln = LogNormal::with_mean_cv2(2.0, 4.0).unwrap();
         assert_eq!(ln.mean(), 2.0);
         assert!((ln.cv2() - 4.0).abs() < 1e-9);
-        let m = sample_mean(&ln, 400_000);
+        let m = sample_mean(&Sampler::LogNormal(ln), 400_000);
         assert!((m - 2.0).abs() < 0.1, "lognormal sample mean {m}");
         let mut r = rng();
         for _ in 0..1000 {
-            assert!(ln.sample(&mut r) > 0.0);
+            assert!(ln.sample_with(&mut r) > 0.0);
         }
         assert!(LogNormal::with_mean_cv2(0.0, 1.0).is_err());
         assert!(LogNormal::with_mean_cv2(1.0, -1.0).is_err());
@@ -890,85 +515,16 @@ mod tests {
         let p = Pareto::with_mean(1.0, 2.5).unwrap();
         assert!((p.mean() - 1.0).abs() < 1e-12);
         assert_eq!(p.alpha(), 2.5);
-        let m = sample_mean(&p, 400_000);
+        let m = sample_mean(&Sampler::Pareto(p), 400_000);
         assert!((m - 1.0).abs() < 0.05, "pareto sample mean {m}");
         // Support starts at x_m = 1·1.5/2.5 = 0.6.
         let mut r = rng();
         for _ in 0..1000 {
-            assert!(p.sample(&mut r) >= 0.6 - 1e-12);
+            assert!(p.sample_with(&mut r) >= 0.6 - 1e-12);
         }
         assert!(Pareto::with_mean(1.0, 1.0).is_err());
+        assert!(Pareto::with_mean(1.0, 0.5).is_err());
         assert!(Pareto::with_mean(-1.0, 3.0).is_err());
-    }
-
-    #[test]
-    fn new_specs_build() {
-        assert!(
-            (DistSpec::LogNormal {
-                mean: 1.0,
-                cv2: 2.0
-            }
-            .mean()
-            .unwrap()
-                - 1.0)
-                .abs()
-                < 1e-12
-        );
-        assert!(
-            (DistSpec::Pareto {
-                mean: 3.0,
-                alpha: 2.0
-            }
-            .mean()
-            .unwrap()
-                - 3.0)
-                .abs()
-                < 1e-12
-        );
-        assert!(DistSpec::Pareto {
-            mean: 3.0,
-            alpha: 0.5
-        }
-        .build()
-        .is_err());
-    }
-
-    #[test]
-    fn sampler_enum_matches_boxed_draw_sequence_bit_exactly() {
-        let specs = [
-            DistSpec::Constant { value: 1.5 },
-            DistSpec::Uniform { lo: 0.25, hi: 2.5 },
-            DistSpec::Exponential { mean: 1.0 },
-            DistSpec::Erlang {
-                stages: 3,
-                stage_mean: 0.5,
-            },
-            DistSpec::Hyper2 {
-                p: 0.3,
-                mean1: 1.0,
-                mean2: 5.0,
-            },
-            DistSpec::LogNormal {
-                mean: 2.0,
-                cv2: 4.0,
-            },
-            DistSpec::Pareto {
-                mean: 1.0,
-                alpha: 2.5,
-            },
-        ];
-        for spec in specs {
-            let boxed = spec.build().unwrap();
-            let direct = spec.build_sampler().unwrap();
-            let mut r1 = rng();
-            let mut r2 = rng();
-            for _ in 0..1000 {
-                let a = boxed.sample(&mut r1);
-                let b = direct.sample_with(&mut r2);
-                assert_eq!(a.to_bits(), b.to_bits(), "{spec:?}");
-            }
-            assert_eq!(boxed.mean().to_bits(), direct.mean().to_bits());
-        }
     }
 
     #[test]
@@ -977,95 +533,5 @@ mod tests {
         assert!(!e.to_string().is_empty());
         let e = Exponential::with_mean(0.0).unwrap_err();
         assert!(e.to_string().contains("positive"));
-    }
-
-    #[test]
-    fn variances_match_closed_forms() {
-        // Exact values per distribution.
-        assert_eq!(Constant::new(3.5).unwrap().variance(), 0.0);
-        let u = Uniform::new(1.0, 4.0).unwrap();
-        assert!((u.variance() - 0.75).abs() < 1e-15);
-        let e = Exponential::with_mean(2.0).unwrap();
-        assert!((e.variance() - 4.0).abs() < 1e-15);
-        // Erlang-4 with stage mean 0.5: var = 4 · 0.25 = 1.
-        let k = Erlang::new(4, 0.5).unwrap();
-        assert!((k.variance() - 1.0).abs() < 1e-15);
-        // Hyper2 degenerating to a single exponential: var = mean².
-        let h = Hyper2::new(1.0, 2.0, 5.0).unwrap();
-        assert!((h.variance() - 4.0).abs() < 1e-12);
-        // LogNormal: var = mean²·cv2 by construction.
-        let l = LogNormal::with_mean_cv2(2.0, 3.0).unwrap();
-        assert!((l.variance() - 12.0).abs() < 1e-9);
-        // Pareto α ≤ 2 has infinite variance, α > 2 the closed form.
-        assert!(Pareto::with_mean(1.0, 1.5)
-            .unwrap()
-            .variance()
-            .is_infinite());
-        let p = Pareto::with_mean(1.0, 3.0).unwrap();
-        // xm = 2/3: var = xm²·3/(4·1) = 1/3.
-        assert!((p.variance() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampler_moments_agree_with_sampled_moments() {
-        // Monte-Carlo check that the analytic variance describes what
-        // the sampler actually draws (finite-variance variants only).
-        let specs = [
-            DistSpec::Uniform { lo: 0.25, hi: 2.5 },
-            DistSpec::Exponential { mean: 1.0 },
-            DistSpec::Erlang {
-                stages: 4,
-                stage_mean: 0.25,
-            },
-            DistSpec::Hyper2 {
-                p: 0.3,
-                mean1: 0.5,
-                mean2: 2.0,
-            },
-            DistSpec::LogNormal {
-                mean: 1.0,
-                cv2: 0.8,
-            },
-            // α = 6 keeps the 4th moment finite so the sample variance
-            // converges at Monte-Carlo rate.
-            DistSpec::Pareto {
-                mean: 1.0,
-                alpha: 6.0,
-            },
-        ];
-        for spec in specs {
-            let s = spec.build_sampler().unwrap();
-            let mut r = rng();
-            let n = 400_000;
-            let mut sum = 0.0;
-            let mut sum2 = 0.0;
-            for _ in 0..n {
-                let x = s.sample_with(&mut r);
-                sum += x;
-                sum2 += x * x;
-            }
-            let m = sum / n as f64;
-            let v = sum2 / n as f64 - m * m;
-            let tol = 0.1 * s.variance().max(0.1);
-            assert!(
-                (v - s.variance()).abs() < tol,
-                "{spec:?}: sampled var {v} vs analytic {}",
-                s.variance()
-            );
-            assert!((s.second_moment() - (s.variance() + s.mean() * s.mean())).abs() < 1e-12);
-            assert_eq!(spec.variance().unwrap(), s.variance());
-        }
-        // SCV accessor: exponential is 1, Erlang-4 is 1/4, constants 0.
-        let exp = DistSpec::Exponential { mean: 3.0 }.build_sampler().unwrap();
-        assert!((exp.scv() - 1.0).abs() < 1e-15);
-        let erl = DistSpec::Erlang {
-            stages: 4,
-            stage_mean: 1.0,
-        }
-        .build_sampler()
-        .unwrap();
-        assert!((erl.scv() - 0.25).abs() < 1e-15);
-        let zero = DistSpec::Constant { value: 0.0 }.build_sampler().unwrap();
-        assert_eq!(zero.scv(), 0.0);
     }
 }

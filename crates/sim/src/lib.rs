@@ -15,9 +15,10 @@
 //! * [`rng`] — seedable, named, independent random-number streams
 //!   (xoshiro256\*\* seeded via SplitMix64),
 //! * [`dist`] — the distributions used by the paper's workload model
-//!   (exponential, uniform, Erlang, …) with validated constructors,
-//! * [`stats`] — Welford tallies, time-weighted integrals, histograms and
-//!   confidence intervals for replicated experiments.
+//!   (exponential, uniform, Erlang, …) with validated constructors, and
+//!   the closed [`Sampler`](dist::Sampler) enum that draws them,
+//! * [`stats`] — Welford tallies, time-weighted integrals, streaming
+//!   quantiles and confidence intervals for replicated experiments.
 //!
 //! The engine is single-threaded and fully deterministic: running the same
 //! model with the same seed produces the same event trace, which the paper's

@@ -1,5 +1,5 @@
-//! Output statistics: tallies, time-weighted integrals, histograms,
-//! confidence intervals and replication analysis.
+//! Output statistics: tallies, time-weighted integrals, streaming
+//! quantiles, confidence intervals and replication analysis.
 //!
 //! The paper reports missed-deadline percentages with 95% confidence
 //! intervals (±0.35 percentage points at their run lengths) from two
@@ -9,26 +9,20 @@
 //! * [`Tally`] — streaming mean/variance/min/max (Welford's algorithm),
 //! * [`TimeWeighted`] — integrals of piecewise-constant signals
 //!   (utilization, queue length),
-//! * [`Histogram`] — fixed-width binning with quantile estimates
-//!   (lateness/tardiness distributions),
+//! * [`P2Quantile`] — streaming quantile estimates in constant memory
+//!   (lateness/tardiness percentiles),
 //! * [`Ratio`] — numerator/denominator counters for miss ratios,
 //! * [`Replications`] — across-run mean ± half-width at 95% confidence
-//!   (Student t),
-//! * [`BatchMeans`] — within-run CI via batch means, the method DeNet-era
-//!   studies typically used.
+//!   (Student t).
 
-mod batch;
 mod ci;
-mod histogram;
 mod quantile;
 mod ratio;
 mod replication;
 mod tally;
 mod timeweighted;
 
-pub use batch::BatchMeans;
 pub use ci::{student_t_975, ConfidenceInterval};
-pub use histogram::{Histogram, HistogramError};
 pub use quantile::{P2Quantile, QuantileError};
 pub use ratio::Ratio;
 pub use replication::Replications;

@@ -208,12 +208,12 @@ mod tests {
 
     #[test]
     fn p99_of_exponential_stream() {
-        use crate::dist::{Dist, Exponential};
+        use crate::dist::Exponential;
         let exp = Exponential::with_mean(1.0).unwrap();
         let mut q = P2Quantile::new(0.99).unwrap();
         let mut rng = RngFactory::new(2).stream("p2-exp");
         for _ in 0..200_000 {
-            q.add(exp.sample(&mut rng));
+            q.add(exp.sample_with(&mut rng));
         }
         // True P99 of Exp(1) = ln(100) ≈ 4.605.
         let est = q.estimate().unwrap();

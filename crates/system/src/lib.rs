@@ -62,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod batch;
 mod config;
 mod failure;
 mod manager;
@@ -73,7 +72,6 @@ mod qos;
 mod runner;
 mod shard;
 
-pub use batch::{run_batch_means, BatchedResult};
 pub use config::{NetworkModel, OverloadPolicy, SystemConfig};
 pub use failure::{DownInterval, FailureModel};
 pub use manager::{DiscardOutcome, PooledRun, ProcessManager, SubtaskOutcome};

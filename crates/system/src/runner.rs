@@ -240,7 +240,8 @@ pub fn run_once_sharded(
     if shards <= 1 || config.network.min_hop_delay() <= 0.0 {
         return Ok(run_once(config, run)?);
     }
-    crate::shard::run_sharded(config, run, shards)
+    crate::shard::run_sharded(config, run, shards, crate::shard::MAILBOX_CAPACITY)
+        .map(|(result, _)| result)
 }
 
 /// Summary statistics across independent replications (different seeds,
@@ -412,7 +413,8 @@ pub fn run_replications_sharded_with_capacity(
         };
         let result = match mailbox_capacity {
             Some(capacity) if shards > 1 && config.network.min_hop_delay() > 0.0 => {
-                crate::shard::run_sharded_with_capacity(config, &run_cfg, shards, capacity)
+                crate::shard::run_sharded(config, &run_cfg, shards, capacity)
+                    .map(|(result, _)| result)
             }
             _ => run_once_sharded(config, &run_cfg, shards),
         };

@@ -84,7 +84,7 @@ use crate::runner::{RunConfig, RunError, RunResult};
 /// out). Sized with orders-of-magnitude headroom over any realistic
 /// per-window volume; an overflow aborts the run with a structured
 /// [`RunError::MailboxOverflow`] rather than silently dropping events.
-const MAILBOX_CAPACITY: usize = 1 << 14;
+pub(crate) const MAILBOX_CAPACITY: usize = 1 << 14;
 
 /// A reusable spin barrier for the bulk-synchronous window protocol
 /// (`shards + 1` participants, two crossings per window). Spinning is
@@ -747,41 +747,14 @@ fn drain_calendar(
 }
 
 /// Runs the model once with `shards ≥ 2` node shards advancing
-/// concurrently under the conservative window protocol. Callers gate on
-/// `shards >= 2 && config.network.min_hop_delay() > 0` (see
-/// [`run_once_sharded`](crate::run_once_sharded)).
+/// concurrently under the conservative window protocol, each cross-shard
+/// mailbox holding at most `mailbox_capacity` events per window
+/// ([`MAILBOX_CAPACITY`] unless the caller bounds it deliberately, as
+/// `--mailbox-capacity` does). Returns the final model too, so tests can
+/// inspect slab accounting (`tasks_in_flight`) after a sharded run.
+/// Callers gate on `shards >= 2 && config.network.min_hop_delay() > 0`
+/// (see [`run_once_sharded`](crate::run_once_sharded)).
 pub(crate) fn run_sharded(
-    config: &SystemConfig,
-    run: &RunConfig,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    run_sharded_inner(config, run, shards).map(|(result, _)| result)
-}
-
-/// [`run_sharded`] with an explicit per-mailbox capacity, for callers
-/// that bound cross-shard buffering deliberately (`--mailbox-capacity`).
-pub(crate) fn run_sharded_with_capacity(
-    config: &SystemConfig,
-    run: &RunConfig,
-    shards: usize,
-    mailbox_capacity: usize,
-) -> Result<RunResult, RunError> {
-    run_sharded_inner_with_capacity(config, run, shards, mailbox_capacity).map(|(result, _)| result)
-}
-
-/// [`run_sharded`] returning the final model too, so tests can inspect
-/// slab accounting (`tasks_in_flight`) after a sharded run.
-fn run_sharded_inner(
-    config: &SystemConfig,
-    run: &RunConfig,
-    shards: usize,
-) -> Result<(RunResult, SystemModel), RunError> {
-    run_sharded_inner_with_capacity(config, run, shards, MAILBOX_CAPACITY)
-}
-
-/// [`run_sharded_inner`] with an explicit mailbox capacity, so overflow
-/// handling can be exercised without generating 2¹⁴ in-flight events.
-fn run_sharded_inner_with_capacity(
     config: &SystemConfig,
     run: &RunConfig,
     shards: usize,
@@ -1046,7 +1019,7 @@ mod tests {
             order_fuzz: 0,
         };
         let serial = run_once(&cfg, &run).unwrap();
-        let sharded = run_sharded(&cfg, &run, 2).unwrap();
+        let sharded = run_sharded(&cfg, &run, 2, MAILBOX_CAPACITY).unwrap().0;
         assert_eq!(serial, sharded, "2-shard run must match serial bit-for-bit");
     }
 
@@ -1059,9 +1032,9 @@ mod tests {
             seed: 0xC047,
             order_fuzz: 0,
         };
-        let two = run_sharded(&cfg, &run, 2).unwrap();
-        let three = run_sharded(&cfg, &run, 3).unwrap();
-        let six = run_sharded(&cfg, &run, 6).unwrap();
+        let two = run_sharded(&cfg, &run, 2, MAILBOX_CAPACITY).unwrap().0;
+        let three = run_sharded(&cfg, &run, 3, MAILBOX_CAPACITY).unwrap().0;
+        let six = run_sharded(&cfg, &run, 6, MAILBOX_CAPACITY).unwrap().0;
         assert_eq!(two, three, "2 vs 3 shards");
         assert_eq!(two, six, "2 vs 6 shards");
     }
@@ -1097,7 +1070,7 @@ mod tests {
             seed: 0xF1FE,
             order_fuzz: 0,
         };
-        let (result, model) = run_sharded_inner(&cfg, &run, 3).unwrap();
+        let (result, model) = run_sharded(&cfg, &run, 3, MAILBOX_CAPACITY).unwrap();
         assert!(
             result.metrics.aborted_globals > 0,
             "overload config must abort tasks for this test to bite"
@@ -1110,7 +1083,7 @@ mod tests {
         );
         // Invariant across shard counts despite the divergent abort
         // semantics: the drop-at-drain decisions are manager-side.
-        let again = run_sharded(&cfg, &run, 2).unwrap();
+        let again = run_sharded(&cfg, &run, 2, MAILBOX_CAPACITY).unwrap().0;
         assert_eq!(result, again, "AbortTardy must stay shard-count invariant");
     }
 
@@ -1149,7 +1122,7 @@ mod tests {
             "scenario must lose in-flight subtasks for the test to bite"
         );
         for shards in [2, 3, 6] {
-            let sharded = run_sharded(&cfg, &run, shards).unwrap();
+            let sharded = run_sharded(&cfg, &run, shards, MAILBOX_CAPACITY).unwrap().0;
             assert_eq!(
                 serial, sharded,
                 "{shards}-shard churn run must match serial"
@@ -1177,7 +1150,7 @@ mod tests {
             "random outages must hit some queued local work"
         );
         for shards in [2, 3, 6] {
-            let sharded = run_sharded(&cfg, &run, shards).unwrap();
+            let sharded = run_sharded(&cfg, &run, shards, MAILBOX_CAPACITY).unwrap().0;
             assert_eq!(
                 serial, sharded,
                 "{shards}-shard exponential-churn run must match serial"
@@ -1237,7 +1210,7 @@ mod tests {
             seed: 0x10EAF,
             order_fuzz: 0,
         };
-        let (result, model) = run_sharded_inner(&cfg, &run, 3).unwrap();
+        let (result, model) = run_sharded(&cfg, &run, 3, MAILBOX_CAPACITY).unwrap();
         assert!(result.metrics.aborted_globals > 0);
         assert!(result.metrics.lost_subtasks > 0);
         let in_flight = model.tasks_in_flight();
@@ -1269,7 +1242,7 @@ mod tests {
             seed: 0x0F10,
             order_fuzz: 0,
         };
-        match run_sharded_inner_with_capacity(&cfg, &run, 2, 4) {
+        match run_sharded(&cfg, &run, 2, 4) {
             Err(RunError::MailboxOverflow {
                 shard,
                 window,
@@ -1315,7 +1288,7 @@ mod tests {
                 order_fuzz: fuzz * 0x9E37,
             };
             let serial = run_once(&cfg, &run).unwrap();
-            let (sharded, model) = run_sharded_inner(&cfg, &run, 3).unwrap();
+            let (sharded, model) = run_sharded(&cfg, &run, 3, MAILBOX_CAPACITY).unwrap();
             for (label, m) in [("serial", &serial.metrics), ("sharded", &sharded.metrics)] {
                 assert_eq!(
                     m.global.response().count() + m.aborted_globals + m.abandoned_globals,

@@ -43,7 +43,7 @@ impl GlobalTask {
 /// Generates the paper's workload deterministically from named RNG
 /// streams. See the [crate docs](crate) for the model and an example.
 ///
-/// All samplers are closed [`Sampler`] enums (no `Box<dyn Dist>`), the
+/// All samplers are closed [`Sampler`] enums (no trait objects), the
 /// per-stream interarrival samplers (Poisson, MMPP or phased — see
 /// [`ArrivalProcess`](crate::ArrivalProcess)) are prebuilt with their
 /// state inline, and

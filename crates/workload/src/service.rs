@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sda_sim::dist::{Constant, Dist, DistError, Erlang, Exponential, LogNormal, Pareto, Sampler};
+use sda_sim::dist::{Constant, DistError, Erlang, Exponential, LogNormal, Pareto, Sampler};
 
 /// The distributional *shape* of execution times around a configured
 /// mean. The paper uses exponential times throughout (CV² = 1); the
@@ -35,18 +35,7 @@ pub enum ServiceVariability {
 }
 
 impl ServiceVariability {
-    /// Builds a sampler with the given mean.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation from the underlying distribution.
-    pub fn build(&self, mean: f64) -> Result<Box<dyn Dist + Send + Sync>, DistError> {
-        Ok(Box::new(self.build_sampler(mean)?))
-    }
-
-    /// Builds a devirtualized [`Sampler`] with the given mean — the
-    /// allocation-free counterpart of [`ServiceVariability::build`],
-    /// drawing the exact same variate sequence.
+    /// Builds the [`Sampler`] for this shape with the given mean.
     ///
     /// # Errors
     ///
@@ -159,11 +148,35 @@ mod tests {
             ServiceVariability::LogNormal { cv2: 4.0 },
             ServiceVariability::Pareto { alpha: 2.5 },
         ] {
-            let d = shape.build(2.0).unwrap();
+            let d = shape.build_sampler(2.0).unwrap();
             assert!((d.mean() - 2.0).abs() < 1e-9, "{shape:?}");
             let n = 200_000;
-            let m: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
+            let m: f64 = (0..n).map(|_| d.sample_with(&mut rng)).sum::<f64>() / n as f64;
             assert!((m - 2.0).abs() < 0.15, "{shape:?} sample mean {m}");
+        }
+    }
+
+    #[test]
+    fn sampled_cv2_matches_the_analytic_shape_moment() {
+        // The predictor takes its moments from `cv2`, so it must describe
+        // what the sampler actually draws. Pareto α = 6 keeps the fourth
+        // moment finite, so the sample variance converges.
+        let mut rng = RngFactory::new(11).stream("svc-cv2");
+        for shape in [
+            ServiceVariability::Exponential,
+            ServiceVariability::Deterministic,
+            ServiceVariability::Erlang { stages: 4 },
+            ServiceVariability::LogNormal { cv2: 0.8 },
+            ServiceVariability::Pareto { alpha: 6.0 },
+        ] {
+            let d = shape.build_sampler(1.5).unwrap();
+            let t: sda_sim::stats::Tally = (0..400_000).map(|_| d.sample_with(&mut rng)).collect();
+            let sampled = t.variance() / (t.mean() * t.mean());
+            let want = shape.cv2().unwrap();
+            assert!(
+                (sampled - want).abs() < 0.1 * want.max(0.1),
+                "{shape:?}: sampled CV² {sampled} vs analytic {want}"
+            );
         }
     }
 
@@ -237,10 +250,10 @@ mod tests {
     #[test]
     fn invalid_parameters_error() {
         assert!(ServiceVariability::LogNormal { cv2: -1.0 }
-            .build(1.0)
+            .build_sampler(1.0)
             .is_err());
         assert!(ServiceVariability::Pareto { alpha: 1.0 }
-            .build(1.0)
+            .build_sampler(1.0)
             .is_err());
     }
 
