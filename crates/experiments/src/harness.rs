@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use sda_system::{
-    run_replications_sharded_with_capacity, run_replications_with_threads, RunConfig, SystemConfig,
+    run_replications_sharded, run_replications_with_threads, RunConfig, SystemConfig,
 };
 
 pub use sda_system::RunError;
@@ -122,7 +122,7 @@ impl ExperimentOpts {
     pub fn from_args() -> ExperimentOpts {
         // sda-lint: allow(banned-api, reason = "sweep-binary entry point: argv is read once into ExperimentOpts before any simulation starts")
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args).unwrap_or_else(|e| {
+        let opts = Self::parse(&args).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: [--full|--quick|--smoke] [--reps N] [--duration T] [--warmup T] \
@@ -130,7 +130,21 @@ impl ExperimentOpts {
                  [--order-fuzz S] [--screen]"
             );
             std::process::exit(2);
-        })
+        });
+        // An unwritable `--csv` fails now, not after the whole grid ran.
+        if let Err(e) = opts.create_csv_dir() {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+        opts
+    }
+
+    /// Creates the `--csv` directory and its parents, if one was given.
+    fn create_csv_dir(&self) -> Result<(), String> {
+        let Some(dir) = &self.csv_dir else {
+            return Ok(());
+        };
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))
     }
 
     /// Parses a flag list (exposed for tests).
@@ -507,16 +521,26 @@ fn slugify(s: &str) -> String {
 
 /// Prints the tables for `metrics` and, when `--csv DIR` was given,
 /// writes one CSV file per metric into the directory (created if
-/// missing). File names are derived from the sweep title.
+/// missing). File names are derived from the sweep title. A directory
+/// or file that cannot be written is one `error: …` line on stderr and
+/// exit status 1.
 pub fn emit(data: &SweepData, opts: &ExperimentOpts, metrics: &[Metric]) {
     for m in metrics {
         println!("{}", data.table(*m));
     }
-    let Some(dir) = &opts.csv_dir else { return };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+    if let Err(e) = write_csv(data, opts, metrics) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
+}
+
+/// The CSV half of [`emit`]: stops at the first directory or file that
+/// cannot be written.
+fn write_csv(data: &SweepData, opts: &ExperimentOpts, metrics: &[Metric]) -> Result<(), String> {
+    let Some(dir) = &opts.csv_dir else {
+        return Ok(());
+    };
+    opts.create_csv_dir()?;
     // Slug over the *whole* title: several sweeps in one binary share
     // the prefix before the em-dash (e.g. "Ext — delay sensitivity" and
     // "Ext — heterogeneous node speeds"), and a prefix-only slug made
@@ -525,12 +549,11 @@ pub fn emit(data: &SweepData, opts: &ExperimentOpts, metrics: &[Metric]) {
     for m in metrics {
         let metric_slug = slugify(m.name());
         let path = dir.join(format!("{slug}_{metric_slug}.csv"));
-        if let Err(e) = std::fs::write(&path, data.csv(*m)) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else {
-            eprintln!("wrote {}", path.display());
-        }
+        std::fs::write(&path, data.csv(*m))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
     }
+    Ok(())
 }
 
 /// Runs a full sweep: every `(series, x)` pair is an independent
@@ -638,7 +661,7 @@ pub fn run_sweep(
                 // points are scarcer than cores. Results are identical
                 // either way (shard count is not a semantic knob).
                 let rep = if opts.shards > 1 {
-                    run_replications_sharded_with_capacity(
+                    run_replications_sharded(
                         &p.config,
                         &run,
                         opts.reps,
@@ -801,10 +824,65 @@ mod tests {
             &series,
             &ExperimentOpts {
                 mailbox_capacity: Some(1 << 14),
-                ..opts
+                ..opts.clone()
             },
         );
         assert!(ok.is_ok());
+        // Zero lookahead falls back to the serial engine, which has no
+        // mailboxes: the same 1-slot capacity succeeds and equals the
+        // unsharded sweep cell for cell.
+        let zero = vec![SeriesSpec::new("EQF", |load| {
+            let mut c = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+            c.workload.load = load;
+            c.network = sda_system::NetworkModel::Zero;
+            c
+        })];
+        let fallback = run_sweep("zero-lookahead", "load", &[0.6], &zero, &opts)
+            .expect("zero lookahead runs serially, whatever the capacity");
+        let serial = run_sweep("zero-lookahead", "load", &[0.6], &zero, &tiny_opts()).unwrap();
+        assert_eq!(fallback.cells, serial.cells);
+    }
+
+    #[test]
+    fn unwritable_csv_dir_is_an_error() {
+        // Regression: a `--csv` directory that could not be created was
+        // a warning after the whole grid had run, and the binary exited
+        // 0 with no CSV written.
+        #[allow(clippy::disallowed_methods)] // test scratch space, not simulation input
+        let file = std::env::temp_dir().join(format!("sda-csv-file-{}", std::process::id()));
+        std::fs::write(&file, "a regular file").unwrap();
+        let opts = ExperimentOpts {
+            csv_dir: Some(file.join("sub")),
+            ..tiny_opts()
+        };
+        let err = opts
+            .create_csv_dir()
+            .expect_err("a file cannot hold a directory");
+        assert!(err.starts_with("cannot create "), "{err}");
+        let data = SweepData {
+            title: "unwritable".into(),
+            x_label: "load".into(),
+            xs: vec![],
+            series_labels: vec![],
+            cells: vec![],
+        };
+        let err = write_csv(&data, &opts, &[Metric::MdLocal]).expect_err("nothing can be written");
+        assert!(err.starts_with("cannot create "), "{err}");
+        std::fs::remove_file(&file).ok();
+        // A directory squatting on the CSV file's name fails the write.
+        let opts = ExperimentOpts {
+            csv_dir: Some(file.clone()),
+            ..tiny_opts()
+        };
+        std::fs::create_dir_all(file.join("unwritable_md_local.csv")).unwrap();
+        let err = write_csv(&data, &opts, &[Metric::MdLocal]).expect_err("the name is taken");
+        assert!(err.starts_with("cannot write "), "{err}");
+        std::fs::remove_dir_all(&file).ok();
+        assert_eq!(
+            tiny_opts().create_csv_dir(),
+            Ok(()),
+            "no --csv, nothing to do"
+        );
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! Binaries accept `--full` (paper-scale runs: 2 × 10⁶ time units),
 //! `--quick` (CI-scale), `--smoke` (single-rep end-to-end exercise),
 //! `--reps N`, `--duration T` (finite, > 0), `--warmup T` (finite,
-//! ≥ 0), `--seed S`, `--threads N`,
+//! ≥ 0), `--seed S`, `--threads N`, `--csv DIR` (one CSV file per
+//! metric; a directory that cannot be created is one `error:` line and
+//! exit status 1 before any point runs),
 //! `--shards N` (split each run across N cores via the sharded
 //! conservative-parallel engine — results are identical for any shard
 //! count), `--mailbox-capacity N` (explicit cross-shard mailbox bound;

@@ -125,13 +125,10 @@ fn main() {
         seed: opts.seed,
         time_scale: opts.time_scale,
         max_globals: opts.tasks,
-        offered: None,
-        requested: None,
     };
 
     match run_wall(&config, &wall) {
         Ok(report) => {
-            let qos = report.metrics.qos.report();
             // Wall seconds from the submission horizon to the drain.
             let drain_s = (report.end_time - duration) / opts.time_scale;
             let node_util =
@@ -139,7 +136,7 @@ fn main() {
             println!(
                 "service_drive: drained submitted_locals={} submitted_globals={} \
                  terminal_locals={} terminal_globals={} lost={} \
-                 local_miss={:.2}% global_miss={:.2}% qos_violations={} \
+                 local_miss={:.2}% global_miss={:.2}% \
                  sim_time={:.1} wall_seconds={:.2} drain_s={:.3} node_util={:.3}",
                 report.submitted_locals,
                 report.submitted_globals,
@@ -148,7 +145,6 @@ fn main() {
                 report.lost_tasks(),
                 report.metrics.local.miss_percent(),
                 report.metrics.global.miss_percent(),
-                qos.local.total_count + qos.global.total_count,
                 report.end_time,
                 report.wall_seconds,
                 drain_s,

@@ -21,17 +21,10 @@
 //! logical-clock mode ([`logical`]) *is* the simulator: on the
 //! configuration space the live runtime supports, [`run_logical`]
 //! validates the configuration and runs [`sda_system::run_once`].
-//!
-//! # Deadline QoS
-//!
-//! The [`QosMonitor`] (a field of [`Metrics`](sda_system::Metrics))
-//! tracks per-class violation statuses in the style of DDS deadline
-//! contracts: requested-vs-observed deadline checks, cumulative and
-//! incremental violation counts, and a warm-up-resettable EWMA miss
-//! ratio. It is a pure observer — the `ADAPT(base)` control loop keeps
-//! reading [`Metrics::feedback`](sda_system::Metrics). A
-//! [`DeadlineContract`] pair lets a wall run refuse a deadline budget it
-//! cannot offer.
+//! Both modes report the simulator's [`Metrics`](sda_system::Metrics):
+//! each class's missed deadlines are
+//! [`ClassMetrics::missed`](sda_system::ClassMetrics::missed), as in
+//! every engine.
 //!
 //! [`run_logical`]: logical::run_logical
 
@@ -43,8 +36,6 @@ pub mod logical;
 pub mod wall;
 
 pub use clock::WallClock;
-pub use sda_system::{QosMonitor, QosReport, ServiceClass, ViolationStatus};
-pub use wall::DeadlineContract;
 
 use sda_system::{FailureModel, SystemConfig};
 use sda_workload::ConfigError;
@@ -74,15 +65,6 @@ pub enum ServiceError {
     /// the paper's core space — free communication, no failure
     /// injection.
     Unsupported(&'static str),
-    /// The deadline budget a worker offers is laxer than the budget the
-    /// submitters request — the QoS contract cannot be satisfied (DDS
-    /// deadline-compatibility rule: offered must be ≤ requested).
-    IncompatibleContract {
-        /// The per-task deadline budget the service offers.
-        offered: f64,
-        /// The per-task deadline budget the submitters request.
-        requested: f64,
-    },
     /// A runtime parameter is out of range.
     BadParameter {
         /// Which parameter.
@@ -99,11 +81,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Unsupported(what) => {
                 write!(f, "unsupported by the live service runtime: {what}")
             }
-            ServiceError::IncompatibleContract { offered, requested } => write!(
-                f,
-                "incompatible deadline contract: offered budget {offered} exceeds \
-                 requested budget {requested}"
-            ),
             ServiceError::BadParameter { what, value } => {
                 write!(f, "bad service parameter: {what} = {value}")
             }

@@ -7,19 +7,16 @@
 //! the configuration is one the live runtime supports and runs
 //! [`run_once`] on it.
 
-use sda_system::{run_once, QosReport, RunConfig, RunResult, SystemConfig};
+use sda_system::{run_once, RunConfig, RunResult, SystemConfig};
 
 use crate::ServiceError;
 
-/// Everything a logical-clock service run produces: the simulator's
-/// result plus the QoS monitor's view of it.
+/// What a logical-clock service run produces: the simulator's result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Metrics, per-node statistics, end time and event count — the
     /// simulator's [`RunResult`].
     pub result: RunResult,
-    /// The deadline-QoS monitor's per-class violation statuses.
-    pub qos: QosReport,
 }
 
 /// Runs the deadline-assignment service on the logical clock:
@@ -38,9 +35,9 @@ pub fn run_logical(config: &SystemConfig, run: &RunConfig) -> Result<ServiceRepo
     if run.order_fuzz != 0 {
         return Err(ServiceError::Unsupported("order fuzzing"));
     }
-    let result = run_once(config, run)?;
-    let qos = result.metrics.qos.report();
-    Ok(ServiceReport { result, qos })
+    Ok(ServiceReport {
+        result: run_once(config, run)?,
+    })
 }
 
 #[cfg(test)]
@@ -77,16 +74,5 @@ mod tests {
         assert_eq!(a, b);
         let other = run_logical(&cfg, &RunConfig::quick(43)).unwrap();
         assert_ne!(a.result.metrics, other.result.metrics);
-    }
-
-    #[test]
-    fn qos_totals_are_consistent_with_metrics() {
-        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let run = RunConfig::quick(7);
-        let report = run_logical(&cfg, &run).unwrap();
-        let m = &report.result.metrics;
-        assert_eq!(report.qos.local.total_count, m.local.missed());
-        assert_eq!(report.qos.global.total_count, m.global.missed());
-        assert!(m.local.completed() > 1_000, "run produced work");
     }
 }

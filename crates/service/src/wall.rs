@@ -26,8 +26,8 @@
 //! service time and the next queued job starts at the scheduled
 //! completion instant, however late the thread wakes to notice. The
 //! manager still observes each completion on its own clock, so the
-//! latency the runtime adds in reporting it counts against the observed
-//! side of the deadline contract.
+//! latency the runtime adds in reporting it counts toward the task's
+//! response time, and so toward its deadline verdict.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -45,40 +45,6 @@ use sda_workload::{GlobalShape, LocalTask, TaskFactory};
 use crate::clock::WallClock;
 use crate::ServiceError;
 
-/// A per-task deadline budget, in simulated time units: the relative
-/// deadline a side of the service promises (offered) or demands
-/// (requested).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeadlineContract {
-    /// The relative deadline budget.
-    pub budget: f64,
-}
-
-impl DeadlineContract {
-    /// A contract with the given budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::BadParameter`] if the budget is not
-    /// finite and positive.
-    pub fn new(budget: f64) -> Result<DeadlineContract, ServiceError> {
-        if !budget.is_finite() || budget <= 0.0 {
-            return Err(ServiceError::BadParameter {
-                what: "contract budget",
-                value: budget,
-            });
-        }
-        Ok(DeadlineContract { budget })
-    }
-
-    /// The DDS deadline-compatibility rule: an offered contract
-    /// satisfies a requested one iff the offered budget is no laxer
-    /// than (i.e. at most) the requested budget.
-    pub fn satisfies(&self, requested: &DeadlineContract) -> bool {
-        self.budget <= requested.budget
-    }
-}
-
 /// Parameters of one wall-clock service run.
 #[derive(Debug, Clone)]
 pub struct WallRunConfig {
@@ -94,16 +60,10 @@ pub struct WallRunConfig {
     pub time_scale: f64,
     /// Hard cap on submitted global tasks (`u64::MAX` = horizon only).
     pub max_globals: u64,
-    /// The per-task deadline budget the service offers, checked against
-    /// `requested` at startup (DDS compatibility rule: offered ≤
-    /// requested). `None` skips the contract check.
-    pub offered: Option<DeadlineContract>,
-    /// The per-task deadline budget the submitters request.
-    pub requested: Option<DeadlineContract>,
 }
 
 impl WallRunConfig {
-    /// A configuration with contracts disabled and no global-task cap.
+    /// A configuration with no global-task cap.
     pub fn new(run: &RunConfig, time_scale: f64) -> WallRunConfig {
         WallRunConfig {
             warmup: run.warmup,
@@ -111,8 +71,6 @@ impl WallRunConfig {
             seed: run.seed,
             time_scale,
             max_globals: u64::MAX,
-            offered: None,
-            requested: None,
         }
     }
 }
@@ -180,19 +138,9 @@ enum ToWorker {
 /// [`ServiceError::Unsupported`] for model features the live runtime
 /// does not implement, [`ServiceError::BadParameter`] for a bad
 /// `time_scale` or `duration` or for a `warmup` that is not finite, is
-/// negative or does not end before `duration`, and
-/// [`ServiceError::IncompatibleContract`] when the offered deadline
-/// contract cannot satisfy the requested one.
+/// negative or does not end before `duration`.
 pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallReport, ServiceError> {
     crate::check_supported(config)?;
-    if let (Some(offered), Some(requested)) = (wall.offered, wall.requested) {
-        if !offered.satisfies(&requested) {
-            return Err(ServiceError::IncompatibleContract {
-                offered: offered.budget,
-                requested: requested.budget,
-            });
-        }
-    }
     if !wall.duration.is_finite() || wall.duration <= 0.0 {
         return Err(ServiceError::BadParameter {
             what: "duration",
@@ -460,9 +408,9 @@ impl Manager {
                 let id = self.pm.fresh_local_id();
                 // The generated arrival instant is the job's enqueue
                 // time, so queueing delay — and the deadline verdict —
-                // are measured against the *requested* arrival; any
+                // are measured from the *generated* arrival; any
                 // channel or scheduling latency the runtime adds counts
-                // against the observed side of the contract.
+                // toward the observed response time.
                 let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
                 self.send_job(task.node, job);
             }
@@ -492,8 +440,7 @@ impl Manager {
             }
             ToManager::Discarded { job } => {
                 self.outstanding_jobs -= 1;
-                let now = self.clock.now();
-                match self.pm.job_discarded(&job, now) {
+                match self.pm.job_discarded(&job) {
                     DiscardOutcome::Local => self.terminal_locals += 1,
                     DiscardOutcome::GlobalAborted => self.terminal_globals += 1,
                     DiscardOutcome::GlobalAlreadyDead => {}
@@ -510,10 +457,10 @@ impl Manager {
     }
 
     fn admit(&mut self, run: PooledRun) {
-        // Virtual deadlines decompose the budget from the *requested*
-        // arrival instant (stored in the generated run), so the
-        // assignment math matches the paper exactly; runtime latency
-        // shows up on the observed side of the contract instead.
+        // Virtual deadlines decompose the budget from the *generated*
+        // arrival instant (stored in the run), so the assignment math
+        // matches the paper exactly; runtime latency shows up in the
+        // observed response time instead.
         let at = run.arrival();
         let id = self.pm.admit(at, |slot| *slot = run, &mut self.subs);
         self.dispatch_wave(id, at);
@@ -696,23 +643,6 @@ mod tests {
         // The worker goes on serving from the instant it is handed work.
         w.accept(2.0, job(2, 2.0, 5.0), &mut discards);
         assert_eq!(w.pending, Some((w.node.service_epoch(), 3.0)));
-    }
-
-    #[test]
-    fn contract_compatibility_is_offered_at_most_requested() {
-        let tight = DeadlineContract::new(5.0).unwrap();
-        let loose = DeadlineContract::new(10.0).unwrap();
-        assert!(tight.satisfies(&loose));
-        assert!(tight.satisfies(&tight));
-        assert!(!loose.satisfies(&tight));
-    }
-
-    #[test]
-    fn contract_rejects_degenerate_budgets() {
-        assert!(DeadlineContract::new(0.0).is_err());
-        assert!(DeadlineContract::new(-1.0).is_err());
-        assert!(DeadlineContract::new(f64::NAN).is_err());
-        assert!(DeadlineContract::new(f64::INFINITY).is_err());
     }
 
     #[test]

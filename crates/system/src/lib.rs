@@ -32,10 +32,9 @@
 //!   into every stage activation as a slack-share multiplier, so
 //!   deadline assignment tightens itself under observed overload;
 //! * **metrics**: per-class missed-deadline ratios (the paper's primary
-//!   measure), response times, tardiness, subtask-level virtual-deadline
-//!   misses, hand-off transit times and node utilizations, with warm-up
-//!   deletion, plus per-class deadline-QoS violation statuses
-//!   ([`QosMonitor`]).
+//!   measure, one [`ClassMetrics`] per class), response times,
+//!   tardiness, subtask-level virtual-deadline misses, hand-off transit
+//!   times and node utilizations, with warm-up deletion.
 //!
 //! The model runs on the deterministic [`sda_sim`] engine;
 //! [`run_replications`] executes independent replications and reports
@@ -68,7 +67,6 @@ mod manager;
 mod metrics;
 mod model;
 mod node;
-mod qos;
 mod runner;
 mod shard;
 
@@ -78,9 +76,7 @@ pub use manager::{DiscardOutcome, PooledRun, ProcessManager, SubtaskOutcome};
 pub use metrics::{ClassMetrics, Feedback, Metrics};
 pub use model::{Event, SystemModel, TraceEvent};
 pub use node::Node;
-pub use qos::{QosMonitor, QosReport, ServiceClass, ViolationStatus};
 pub use runner::{
     run_once, run_once_sharded, run_replications, run_replications_sharded,
-    run_replications_sharded_with_capacity, run_replications_with_threads, ReplicatedResult,
-    RunConfig, RunError, RunResult,
+    run_replications_with_threads, ReplicatedResult, RunConfig, RunError, RunResult,
 };

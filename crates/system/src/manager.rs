@@ -3,12 +3,12 @@
 //! [`ProcessManager`] is the one decision-maker: it admits each global
 //! task, splits its end-to-end deadline into virtual deadlines through
 //! the configured [`SdaStrategy`], enforces precedence by answering
-//! every completion with the next submittable wave, and keeps the
-//! [`Metrics`] (including the [`QosMonitor`](crate::QosMonitor)). It
-//! knows nothing about time sources or transport: the serial engine,
-//! the sharded engine's manager shard and the live service's manager
-//! thread all call the same methods and turn the returned outcomes into
-//! events, mailbox records or channel messages.
+//! every completion with the next submittable wave, and records each
+//! terminal outcome once in the [`Metrics`]. It knows nothing about
+//! time sources or transport: the serial engine, the sharded engine's
+//! manager shard and the live service's manager thread all call the
+//! same methods and turn the returned outcomes into events, mailbox
+//! records or channel messages.
 //!
 //! In-flight global tasks live in a generation-stamped slab of pooled
 //! runs — [`FlatRun`]s for the paper's stage-structured shapes,
@@ -24,7 +24,6 @@ use sda_workload::GlobalShape;
 
 use crate::config::SystemConfig;
 use crate::metrics::Metrics;
-use crate::qos::ServiceClass;
 
 /// How many times a global task's lost subtask is re-dispatched before
 /// the process manager gives the task up as
@@ -360,14 +359,6 @@ impl ProcessManager {
         true
     }
 
-    /// Folds one terminal local/global outcome into the `ADAPT` feedback
-    /// estimator and the QoS monitor.
-    #[inline]
-    fn observe_terminal(&mut self, class: ServiceClass, missed: bool, now: f64) {
-        self.metrics.feedback.observe(missed);
-        self.metrics.qos.observe(class, missed, now);
-    }
-
     /// Admits a global task arriving at `now`: claims a slot, fills its
     /// run through `fill` (the caller's workload source), stamps the
     /// expected communication and the adaptive slack scale, runs the
@@ -403,7 +394,7 @@ impl ProcessManager {
         self.metrics
             .local
             .record(job.enqueue_time, job.deadline, now);
-        self.observe_terminal(ServiceClass::Local, now > job.deadline, now);
+        self.metrics.feedback.observe(now > job.deadline);
     }
 
     /// Accounts a global subtask job completed at `now`. On
@@ -421,11 +412,7 @@ impl ProcessManager {
         let JobOrigin::Global { task, subtask } = job.origin else {
             panic!("subtask_done on a local job");
         };
-        let virtual_miss = now > job.deadline;
-        self.metrics.subtask_virtual_miss.record(virtual_miss);
-        self.metrics
-            .qos
-            .observe(ServiceClass::SubtaskVirtual, virtual_miss, now);
+        self.metrics.subtask_virtual_miss.record(now > job.deadline);
         let Some(slot) = self.lookup_task(task) else {
             debug_assert!(false, "completion for unknown task {task}");
             return SubtaskOutcome::Swallowed;
@@ -460,26 +447,23 @@ impl ProcessManager {
         let (arrival, deadline) = (run.arrival(), run.global_deadline());
         let missed = now > deadline;
         self.metrics.global.record(arrival, deadline, now);
-        self.observe_terminal(ServiceClass::Global, missed, now);
+        self.metrics.feedback.observe(missed);
         self.release_task_slot(slot);
         Some(missed)
     }
 
-    /// Accounts a job discarded at `now` by the firm-deadline admission
-    /// policy. The first discard of a global task aborts it.
-    pub fn job_discarded(&mut self, job: &Job, now: f64) -> DiscardOutcome {
+    /// Accounts a job discarded by the firm-deadline admission policy.
+    /// The first discard of a global task aborts it.
+    pub fn job_discarded(&mut self, job: &Job) -> DiscardOutcome {
         match job.origin {
             JobOrigin::Local { .. } => {
                 self.metrics.local.record_aborted();
                 self.metrics.aborted_locals += 1;
-                self.observe_terminal(ServiceClass::Local, true, now);
+                self.metrics.feedback.observe(true);
                 DiscardOutcome::Local
             }
             JobOrigin::Global { task, .. } => {
                 self.metrics.subtask_virtual_miss.record(true);
-                self.metrics
-                    .qos
-                    .observe(ServiceClass::SubtaskVirtual, true, now);
                 let Some(slot) = self.lookup_task(task) else {
                     return DiscardOutcome::GlobalAlreadyDead;
                 };
@@ -490,7 +474,7 @@ impl ProcessManager {
                     entry.aborted = true;
                     self.metrics.global.record_aborted();
                     self.metrics.aborted_globals += 1;
-                    self.observe_terminal(ServiceClass::Global, true, now);
+                    self.metrics.feedback.observe(true);
                     DiscardOutcome::GlobalAborted
                 } else {
                     DiscardOutcome::GlobalAlreadyDead
@@ -503,12 +487,12 @@ impl ProcessManager {
         }
     }
 
-    /// Accounts a local task lost at `now` to a down node: a terminal
-    /// miss, its node's users see nothing back.
-    pub(crate) fn local_lost(&mut self, now: f64) {
+    /// Accounts a local task lost to a down node: a terminal miss, its
+    /// node's users see nothing back.
+    pub(crate) fn local_lost(&mut self) {
         self.metrics.local.record_aborted();
         self.metrics.lost_locals += 1;
-        self.observe_terminal(ServiceClass::Local, true, now);
+        self.metrics.feedback.observe(true);
     }
 
     /// Settles a hand-off of `task` about to be delivered: returns `true`
@@ -555,7 +539,7 @@ impl ProcessManager {
         }
         let entry = &mut self.tasks[slot];
         if entry.retries >= MAX_REDISPATCH {
-            self.abandon_task(slot, now);
+            self.abandon_task(slot);
             return LossOutcome::Abandoned;
         }
         entry.retries += 1;
@@ -564,7 +548,7 @@ impl ProcessManager {
         entry.run.reissue(subtask, &self.strategy, now, out);
         debug_assert_eq!(out.len(), 1, "reissue yields one submission");
         let Some((target, ratio)) = place(out[0].node) else {
-            self.abandon_task(slot, now);
+            self.abandon_task(slot);
             return LossOutcome::Abandoned;
         };
         // The run stores demands in the original node's service units;
@@ -587,7 +571,7 @@ impl ProcessManager {
     /// and their completions are swallowed by
     /// [`ProcessManager::subtask_done`]. The caller has already settled
     /// the lost copy's `outstanding` decrement.
-    fn abandon_task(&mut self, slot: usize, now: f64) {
+    fn abandon_task(&mut self, slot: usize) {
         let entry = &mut self.tasks[slot];
         debug_assert!(
             !entry.aborted && !entry.abandoned,
@@ -597,7 +581,7 @@ impl ProcessManager {
         let outstanding = entry.outstanding;
         self.metrics.global.record_aborted();
         self.metrics.abandoned_globals += 1;
-        self.observe_terminal(ServiceClass::Global, true, now);
+        self.metrics.feedback.observe(true);
         if outstanding == 0 {
             self.release_task_slot(slot);
         }

@@ -5,8 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use sda_sim::stats::{P2Quantile, Ratio, Tally};
 
-use crate::qos::QosMonitor;
-
 /// Per-class statistics (one for locals, one for globals).
 ///
 /// # Aborted-task semantics
@@ -239,10 +237,6 @@ pub struct Metrics {
     /// [`Metrics::reset`]** because it is control state, not a
     /// statistic.
     pub feedback: Feedback,
-    /// Per-class deadline-QoS violation statuses, observed at every
-    /// terminal local/global outcome and every subtask completion or
-    /// discard. A statistic: restarts at [`Metrics::reset`].
-    pub qos: QosMonitor,
 }
 
 impl Metrics {
@@ -255,12 +249,8 @@ impl Metrics {
     /// [`feedback`](Metrics::feedback) control state survives so an
     /// adaptive strategy's loop does not jump at the warm-up boundary.
     pub fn reset(&mut self) {
-        let feedback = self.feedback;
-        let mut qos = self.qos;
-        qos.reset_statistics();
         *self = Metrics {
-            feedback,
-            qos,
+            feedback: self.feedback,
             ..Metrics::default()
         };
     }

@@ -356,7 +356,7 @@ impl SystemModel {
             // The host is down; its users' submissions go nowhere. The
             // arrival stream itself keeps running (the generator draw
             // above keeps the streams aligned with a failure-free run).
-            self.manager.local_lost(now);
+            self.manager.local_lost();
             self.schedule_next_local(ctx, node);
             return;
         }
@@ -619,7 +619,7 @@ impl SystemModel {
     }
 
     pub(crate) fn on_job_discarded(&mut self, now: f64, job: Job) {
-        let outcome = self.manager.job_discarded(&job, now);
+        let outcome = self.manager.job_discarded(&job);
         if let (DiscardOutcome::GlobalAborted, JobOrigin::Global { task, .. }) =
             (outcome, job.origin)
         {
@@ -634,7 +634,7 @@ impl SystemModel {
     /// subtask enters the re-dispatch path.
     pub(crate) fn on_job_lost<S: EventSink>(&mut self, sink: &mut S, job: Job) {
         match job.origin {
-            JobOrigin::Local { .. } => self.manager.local_lost(sink.now()),
+            JobOrigin::Local { .. } => self.manager.local_lost(),
             JobOrigin::Global { task, subtask } => self.redispatch(sink, task, subtask),
         }
     }

@@ -237,11 +237,21 @@ pub fn run_once_sharded(
     run: &RunConfig,
     shards: usize,
 ) -> Result<RunResult, RunError> {
+    run_sharded_or_serial(config, run, shards, crate::shard::MAILBOX_CAPACITY)
+}
+
+/// The serial-fallback gate of [`run_once_sharded`], with cross-shard
+/// mailboxes of `mailbox_capacity` when the run is sharded.
+fn run_sharded_or_serial(
+    config: &SystemConfig,
+    run: &RunConfig,
+    shards: usize,
+    mailbox_capacity: usize,
+) -> Result<RunResult, RunError> {
     if shards <= 1 || config.network.min_hop_delay() <= 0.0 {
         return Ok(run_once(config, run)?);
     }
-    crate::shard::run_sharded(config, run, shards, crate::shard::MAILBOX_CAPACITY)
-        .map(|(result, _)| result)
+    crate::shard::run_sharded(config, run, shards, mailbox_capacity).map(|(result, _)| result)
 }
 
 /// Summary statistics across independent replications (different seeds,
@@ -376,21 +386,9 @@ pub fn run_replications_with_threads(
 /// bit-identical to the serial replication harness whenever each
 /// individual run is.
 ///
-/// # Errors
-///
-/// Returns [`ConfigError`] for invalid workload parameters.
-pub fn run_replications_sharded(
-    config: &SystemConfig,
-    base: &RunConfig,
-    replications: usize,
-    shards: usize,
-) -> Result<ReplicatedResult, RunError> {
-    run_replications_sharded_with_capacity(config, base, replications, shards, None)
-}
-
-/// [`run_replications_sharded`] with an explicit cross-shard mailbox
-/// capacity (`None` = the engine default). A deliberately small bound
-/// turns a backlogged synchronization window into a structured
+/// `mailbox_capacity` bounds each cross-shard mailbox (`None` = the
+/// engine default). A deliberately small bound turns a backlogged
+/// synchronization window into a structured
 /// [`RunError::MailboxOverflow`] instead of unbounded buffering — the
 /// sweep binaries expose this as `--mailbox-capacity`.
 ///
@@ -398,28 +396,23 @@ pub fn run_replications_sharded(
 ///
 /// Returns [`RunError::Config`] for invalid workload parameters, and
 /// [`RunError::MailboxOverflow`] if any window exceeds the capacity.
-pub fn run_replications_sharded_with_capacity(
+pub fn run_replications_sharded(
     config: &SystemConfig,
     base: &RunConfig,
     replications: usize,
     shards: usize,
     mailbox_capacity: Option<usize>,
 ) -> Result<ReplicatedResult, RunError> {
-    let mut runs: Vec<Option<Result<RunResult, RunError>>> = Vec::with_capacity(replications);
-    for r in 0..replications {
-        let run_cfg = RunConfig {
-            seed: replication_seed(base.seed, r),
-            ..*base
-        };
-        let result = match mailbox_capacity {
-            Some(capacity) if shards > 1 && config.network.min_hop_delay() > 0.0 => {
-                crate::shard::run_sharded(config, &run_cfg, shards, capacity)
-                    .map(|(result, _)| result)
-            }
-            _ => run_once_sharded(config, &run_cfg, shards),
-        };
-        runs.push(Some(result));
-    }
+    let capacity = mailbox_capacity.unwrap_or(crate::shard::MAILBOX_CAPACITY);
+    let runs = (0..replications)
+        .map(|r| {
+            let run_cfg = RunConfig {
+                seed: replication_seed(base.seed, r),
+                ..*base
+            };
+            Some(run_sharded_or_serial(config, &run_cfg, shards, capacity))
+        })
+        .collect();
     fold_runs(runs)
 }
 

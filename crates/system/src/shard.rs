@@ -1186,7 +1186,7 @@ mod tests {
         let serial = run_replications_with_threads(&cfg, &run, 1, 1).unwrap();
         assert!(serial.runs[0].metrics.lost_subtasks > 0);
         for shards in [2, 3, 6] {
-            let sharded = run_replications_sharded(&cfg, &run, 1, shards).unwrap();
+            let sharded = run_replications_sharded(&cfg, &run, 1, shards, None).unwrap();
             assert_eq!(
                 serial.runs, sharded.runs,
                 "{shards}-shard replication must match serial"

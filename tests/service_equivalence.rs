@@ -12,11 +12,7 @@
 use sda::core::{AdaptiveSlack, SdaStrategy};
 use sda::service::logical::run_logical;
 use sda::service::wall::{run_wall, WallRunConfig};
-use sda::service::{DeadlineContract, ServiceClass, ServiceError};
-use sda::system::{
-    run_once, run_once_sharded, FailureModel, Metrics, NetworkModel, OverloadPolicy, RunConfig,
-    SystemConfig,
-};
+use sda::system::{run_once, OverloadPolicy, RunConfig, SystemConfig};
 
 fn quick(seed: u64) -> RunConfig {
     RunConfig::quick(seed)
@@ -75,51 +71,6 @@ fn preemptive_priority_matches_simulator() {
 }
 
 #[test]
-fn qos_monitor_totals_agree_with_simulator_metrics() {
-    let cfg = SystemConfig::combined_baseline(SdaStrategy::eqf_ud());
-    let run = quick(0x51);
-    let sim = run_once(&cfg, &run).unwrap();
-    let svc = run_logical(&cfg, &run).unwrap();
-    assert_eq!(svc.qos.local.total_count, sim.metrics.local.missed());
-    assert_eq!(svc.qos.global.total_count, sim.metrics.global.missed());
-    assert_eq!(
-        svc.qos.subtask_virtual.total_count,
-        sim.metrics.subtask_virtual_miss.numerator()
-    );
-
-    // The simulator keeps the same monitor, in both engines, and also
-    // where the service cannot go: a network and crashing nodes add the
-    // lost-local and abandoned-global miss paths.
-    let assert_totals = |m: &Metrics, engine: &str| {
-        let qos = m.qos.report();
-        assert_eq!(qos.local.total_count, m.local.missed(), "{engine}: local");
-        assert_eq!(
-            qos.global.total_count,
-            m.global.missed(),
-            "{engine}: global"
-        );
-        assert_eq!(
-            qos.subtask_virtual.total_count,
-            m.subtask_virtual_miss.numerator(),
-            "{engine}: subtask"
-        );
-    };
-    let mut cfg = SystemConfig::combined_baseline(SdaStrategy::eqf_ud());
-    cfg.network = NetworkModel::Constant { delay: 0.5 };
-    cfg.failure = FailureModel::Exponential {
-        mttf: 400.0,
-        mttr: 60.0,
-    };
-    let serial = run_once(&cfg, &run).unwrap();
-    assert!(
-        serial.metrics.lost_locals > 0 && serial.metrics.qos.report().global.total_count > 0,
-        "churn must produce misses for the totals to bite"
-    );
-    assert_totals(&serial.metrics, "serial");
-    assert_totals(&run_once_sharded(&cfg, &run, 2).unwrap().metrics, "sharded");
-}
-
-#[test]
 fn wall_clock_service_drains_without_losing_tasks() {
     // A short real-time run at high time compression: every submitted
     // task must reach a terminal state before shutdown (satellite 3's
@@ -142,26 +93,4 @@ fn wall_clock_service_drains_without_losing_tasks() {
         "graceful shutdown lost {} task(s): {report:?}",
         report.lost_tasks()
     );
-    let _ = ServiceClass::Local; // classes are part of the public surface
-}
-
-#[test]
-fn wall_clock_service_rejects_incompatible_deadline_contracts() {
-    let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-    let run = RunConfig {
-        warmup: 0.0,
-        duration: 50.0,
-        seed: 1,
-        order_fuzz: 0,
-    };
-    let mut wall = WallRunConfig::new(&run, 1_000.0);
-    wall.offered = Some(DeadlineContract::new(40.0).unwrap());
-    wall.requested = Some(DeadlineContract::new(25.0).unwrap());
-    match run_wall(&cfg, &wall) {
-        Err(ServiceError::IncompatibleContract { offered, requested }) => {
-            assert_eq!(offered, 40.0);
-            assert_eq!(requested, 25.0);
-        }
-        other => panic!("expected contract rejection, got {other:?}"),
-    }
 }
